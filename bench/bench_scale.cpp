@@ -24,10 +24,10 @@
 // replica/clock state) are swept through n = 1024 and excluded at 4096;
 // causal-partial-adhoc is excluded exactly where Theorem 1 predicts —
 // on the hoop-rich zipf shape past n = 256 its R(x)-routed dependency
-// metadata goes super-linear (minutes per run), and at 4096 the static
-// relevance analysis alone (per-candidate max-flow over every variable)
-// costs minutes.  Those exclusions *are* the paper's point, priced in
-// RAM, messages and wall-clock.
+// metadata goes super-linear (minutes per run); its 4096 cut is a budget
+// cut (the static relevance analysis, one linear block pass per variable,
+// takes under 2 s there — docs/SCALING.md).  Those exclusions *are* the
+// paper's point, priced in RAM, messages and wall-clock.
 //
 // --quick caps the sweep at n = 256 (CI budget); the full run adds
 // n = 1024 and 4096.
@@ -76,7 +76,7 @@ std::vector<graph::Distribution> topologies_at(std::size_t n) {
 /// Where each protocol stops fitting a laptop-class budget (see the
 /// header comment): the broadcast protocols past n = 1024, the ad-hoc
 /// causal protocol past n = 256 on the hoop-rich zipf shape and past
-/// n = 1024 everywhere (static relevance analysis cost).
+/// n = 1024 everywhere (a run-time budget cut).
 bool feasible_at(ProtocolKind kind, std::size_t n,
                  const graph::Distribution& dist) {
   if (kind == ProtocolKind::kCausalFull ||

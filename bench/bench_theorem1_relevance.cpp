@@ -104,7 +104,11 @@ void BM_RelevanceAnalysis(benchmark::State& state) {
     benchmark::DoNotOptimize(graph::all_relevant_sets(sg));
   }
 }
-BENCHMARK(BM_RelevanceAnalysis)->Range(8, 32);
+BENCHMARK(BM_RelevanceAnalysis)
+    ->Arg(32)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadAdhocVsNaive(benchmark::State& state, ProtocolKind kind) {
   const auto dist = graph::topo::clusters(3, 2, true);

@@ -18,6 +18,11 @@
 #                           # layer-DAG contracts, docs/LINT.md), the
 #                           # header self-containment build, and clang-tidy
 #                           # when installed (skipped gracefully otherwise)
+#   BENCH_SELFTEST=1 ./ci.sh # the repository benchmark's own tests
+#                           # (python3 perfbench/selftest.py, ~1 min): metric
+#                           # catalogue vs BENCHMARK.json, a seeded slowdown
+#                           # that must be flagged, a build without sources
+#                           # that must fail (perfbench/README.md)
 #   BUILD_DIR=out ./ci.sh
 #   BENCH_FILTER=batching ./ci.sh   # only benches matching the regex
 #
@@ -26,6 +31,13 @@
 set -euo pipefail
 
 cd "$(dirname "$0")"
+if [ "${BENCH_SELFTEST:-0}" != "0" ]; then
+  # perfbench builds its own Release tree (.bench_build/) through run.py.
+  echo "== bench selftest: perfbench/selftest.py =="
+  python3 perfbench/selftest.py
+  echo "== done (bench selftest) =="
+  exit 0
+fi
 SANITIZE="${SANITIZE:-0}"
 if [ "$SANITIZE" = "tsan" ]; then
   BUILD_DIR="${BUILD_DIR:-build-tsan}"

@@ -1,6 +1,7 @@
 #include "history/checkers.h"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "simnet/check.h"
 
@@ -81,7 +82,10 @@ Relation criterion_relation(const History& h, Criterion c, LazyMode mode) {
 CheckResult check_history(const History& h, Criterion c,
                           const CheckOptions& options) {
   CheckResult result;
-  if (!h.read_from_resolvable()) {
+  std::vector<OpIndex> read_from;
+  try {
+    read_from = h.resolve_read_from();
+  } catch (const std::logic_error&) {
     // A read returning a value never written (other than ⊥) violates every
     // criterion here (all include the read-from constraint).
     result.consistent = false;
@@ -98,7 +102,8 @@ CheckResult check_history(const History& h, Criterion c,
     for (std::size_t i = 0; i < h.size(); ++i) {
       everything.push_back(static_cast<OpIndex>(i));
     }
-    auto sr = find_serialization(h, everything, relation, options.search);
+    auto sr = find_serialization(h, everything, relation, read_from,
+                                 options.search);
     ProcessVerdict pv;
     pv.proc = kNoProcess;  // global serialization, not per-process
     pv.verdict = sr.verdict;
@@ -115,7 +120,8 @@ CheckResult check_history(const History& h, Criterion c,
           subset.push_back(static_cast<OpIndex>(i));
         }
       }
-      auto sr = find_serialization(h, subset, relation, options.search);
+      auto sr =
+          find_serialization(h, subset, relation, read_from, options.search);
       ProcessVerdict pv;
       pv.proc = static_cast<ProcessId>(x);
       pv.verdict = sr.verdict;
@@ -128,7 +134,8 @@ CheckResult check_history(const History& h, Criterion c,
     // Per application process: serialization of H_{i+w}.
     for (std::size_t p = 0; p < h.process_count(); ++p) {
       auto subset = h.projection_i_plus_w(static_cast<ProcessId>(p));
-      auto sr = find_serialization(h, subset, relation, options.search);
+      auto sr =
+          find_serialization(h, subset, relation, read_from, options.search);
       ProcessVerdict pv;
       pv.proc = static_cast<ProcessId>(p);
       pv.verdict = sr.verdict;

@@ -7,6 +7,7 @@ LinearizabilityResult check_linearizable(const History& h,
   LinearizabilityResult result;
   result.linearizable = true;
   result.witnesses.assign(h.var_count(), {});
+  const std::vector<OpIndex> read_from = h.resolve_read_from();
 
   for (std::size_t xv = 0; xv < h.var_count(); ++xv) {
     const auto x = static_cast<VarId>(xv);
@@ -39,7 +40,7 @@ LinearizabilityResult check_linearizable(const History& h,
       }
     }
 
-    auto sr = find_serialization(h, subset, rt, options);
+    auto sr = find_serialization(h, subset, rt, read_from, options);
     if (sr.verdict == SearchVerdict::kUnknown) result.definitive = false;
     if (sr.verdict != SearchVerdict::kSerializable) {
       result.linearizable = false;

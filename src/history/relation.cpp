@@ -1,20 +1,8 @@
 #include "history/relation.h"
 
-#include "simnet/check.h"
-
 namespace pardsm::hist {
 
 Relation::Relation(std::size_t n) : n_(n), bits_(n * ((n + 63) / 64), 0) {}
-
-void Relation::add(std::size_t a, std::size_t b) {
-  PARDSM_CHECK(a < n_ && b < n_, "Relation::add out of range");
-  bits_[a * words_per_row() + b / 64] |= (1ULL << (b % 64));
-}
-
-bool Relation::has(std::size_t a, std::size_t b) const {
-  PARDSM_CHECK(a < n_ && b < n_, "Relation::has out of range");
-  return (bits_[a * words_per_row() + b / 64] >> (b % 64)) & 1ULL;
-}
 
 void Relation::merge(const Relation& other) {
   PARDSM_CHECK(other.n_ == n_, "Relation::merge size mismatch");
@@ -42,28 +30,12 @@ Relation Relation::closure() const {
 }
 
 bool Relation::is_acyclic() const {
-  // Kahn's algorithm over the (possibly non-closed) digraph.
-  std::vector<std::size_t> indegree(n_, 0);
+  // Any cycle, a reflexive pair included, closes into a self-loop.
+  const Relation closed = closure();
   for (std::size_t a = 0; a < n_; ++a) {
-    if (has(a, a)) return false;
-    for (std::size_t b = 0; b < n_; ++b) {
-      if (has(a, b)) ++indegree[b];
-    }
+    if (closed.has(a, a)) return false;
   }
-  std::vector<std::size_t> ready;
-  for (std::size_t v = 0; v < n_; ++v) {
-    if (indegree[v] == 0) ready.push_back(v);
-  }
-  std::size_t removed = 0;
-  while (!ready.empty()) {
-    const std::size_t v = ready.back();
-    ready.pop_back();
-    ++removed;
-    for (std::size_t b = 0; b < n_; ++b) {
-      if (has(v, b) && --indegree[b] == 0) ready.push_back(b);
-    }
-  }
-  return removed == n_;
+  return true;
 }
 
 std::size_t Relation::edge_count() const {

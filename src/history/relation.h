@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "simnet/check.h"
+
 namespace pardsm::hist {
 
 /// Dense n×n boolean matrix with 64-way bit-parallel rows.
@@ -21,10 +23,16 @@ class Relation {
   [[nodiscard]] std::size_t size() const { return n_; }
 
   /// Add the pair (a, b): a precedes b.
-  void add(std::size_t a, std::size_t b);
+  void add(std::size_t a, std::size_t b) {
+    PARDSM_CHECK(a < n_ && b < n_, "Relation::add out of range");
+    bits_[a * words_per_row() + b / 64] |= (1ULL << (b % 64));
+  }
 
   /// True if (a, b) is in the relation.
-  [[nodiscard]] bool has(std::size_t a, std::size_t b) const;
+  [[nodiscard]] bool has(std::size_t a, std::size_t b) const {
+    PARDSM_CHECK(a < n_ && b < n_, "Relation::has out of range");
+    return (bits_[a * words_per_row() + b / 64] >> (b % 64)) & 1ULL;
+  }
 
   /// In-place union with another relation of the same size.
   void merge(const Relation& other);

@@ -1,8 +1,8 @@
 #include "history/serialization.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
-#include <unordered_set>
 
 #include "simnet/check.h"
 
@@ -10,142 +10,189 @@ namespace pardsm::hist {
 
 namespace {
 
-/// Dynamic bitmask over local op indices (histories can exceed 64 ops).
-class Mask {
+using Word = std::uint64_t;
+
+constexpr Word bit(std::size_t i) { return Word{1} << (i % 64); }
+
+/// Bit rows of `stride` words each, flat: row a's bit b is the pair (a, b).
+class BitRows {
  public:
-  explicit Mask(std::size_t bits) : words_((bits + 63) / 64, 0) {}
+  BitRows(std::size_t rows, std::size_t stride)
+      : rows_(rows), stride_(stride), bits_(rows * stride, 0) {}
 
-  void set(std::size_t i) { words_[i / 64] |= (1ULL << (i % 64)); }
-  [[nodiscard]] bool test(std::size_t i) const {
-    return (words_[i / 64] >> (i % 64)) & 1ULL;
+  [[nodiscard]] Word* row(std::size_t a) { return &bits_[a * stride_]; }
+  [[nodiscard]] bool test(std::size_t a, std::size_t b) const {
+    return (bits_[a * stride_ + b / 64] & bit(b)) != 0;
   }
-  [[nodiscard]] const std::vector<std::uint64_t>& words() const {
-    return words_;
+  void set(std::size_t a, std::size_t b) {
+    bits_[a * stride_ + b / 64] |= bit(b);
   }
-
-  /// True if all bits of `other` are set in *this.
-  [[nodiscard]] bool contains(const Mask& other) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if ((other.words_[w] & ~words_[w]) != 0) return false;
+  /// f(b) for every b in row a, ascending.
+  template <typename F>
+  void for_each(std::size_t a, F&& f) const {
+    for (std::size_t w = 0; w < stride_; ++w) {
+      for (Word m = bits_[a * stride_ + w]; m != 0; m &= m - 1) {
+        f(64 * w + static_cast<std::size_t>(__builtin_ctzll(m)));
+      }
     }
-    return true;
+  }
+
+  /// Transitive closure, bit-parallel Floyd–Warshall: every row that
+  /// reaches the pivot absorbs the pivot's row.
+  void close() {
+    for (std::size_t pivot = 0; pivot < rows_; ++pivot) {
+      const Word* from = row(pivot);
+      for (std::size_t i = 0; i < rows_; ++i) {
+        if (!test(i, pivot)) continue;
+        Word* to = row(i);
+        for (std::size_t w = 0; w < stride_; ++w) to[w] |= from[w];
+      }
+    }
   }
 
  private:
-  std::vector<std::uint64_t> words_;
+  std::size_t rows_;
+  std::size_t stride_;
+  std::vector<Word> bits_;
 };
 
-struct StateKey {
-  std::vector<std::uint64_t> packed;  // mask words + last-write vector
-  friend bool operator==(const StateKey&, const StateKey&) = default;
-};
-
-struct StateKeyHash {
-  std::size_t operator()(const StateKey& k) const {
-    std::uint64_t acc = 0x9E3779B97F4A7C15ULL;
-    for (std::uint64_t w : k.packed) {
-      acc ^= w + 0x9E3779B97F4A7C15ULL + (acc << 6) + (acc >> 2);
-    }
-    return static_cast<std::size_t>(acc);
+std::uint64_t hash_words(const Word* key, std::size_t n) {
+  std::uint64_t acc = 0x9E3779B97F4A7C15ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc = (acc ^ key[i]) * 0xBF58476D1CE4E5B9ULL;
+    acc ^= acc >> 31;
   }
+  return acc;
+}
+
+/// Membership-only set of fixed-stride keys.  Keys live back to back in
+/// one arena; the open-addressing table holds entry number + 1 (0 = empty)
+/// under linear probing.  Never iterated, so it cannot influence the
+/// verdict or the (deterministic) witness.
+class KeySet {
+ public:
+  explicit KeySet(std::size_t stride) : stride_(stride), slots_(64, 0) {}
+
+  [[nodiscard]] bool contains(const Word* key, std::uint64_t hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask; slots_[i] != 0; i = (i + 1) & mask) {
+      const Word* entry = &arena_[(slots_[i] - 1) * stride_];
+      if (std::equal(key, key + stride_, entry)) return true;
+    }
+    return false;
+  }
+
+  /// Add a key known to be absent; doubles the table past half full.
+  void insert(const Word* key, std::uint64_t hash) {
+    arena_.insert(arena_.end(), key, key + stride_);
+    const std::size_t count = arena_.size() / stride_;
+    if (2 * count <= slots_.size()) return place(hash, count);
+    slots_.assign(2 * slots_.size(), 0);
+    for (std::size_t e = 0; e < count; ++e) {
+      place(hash_words(&arena_[e * stride_], stride_), e + 1);
+    }
+  }
+
+ private:
+  void place(std::uint64_t hash, std::size_t entry) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<std::uint32_t>(entry);
+  }
+
+  std::size_t stride_;
+  std::vector<std::uint32_t> slots_;
+  std::vector<Word> arena_;
 };
 
 /// Search context: everything indexed by *local* op index (position in the
-/// subset).
+/// subset).  Ops are named by local index + 1 wherever 0 means "none".
 struct Search {
-  const History& h;
-  std::vector<OpIndex> subset;           // local -> global
-  std::vector<std::int32_t> local_var;   // local -> compact var index
-  std::vector<std::int32_t> read_src;    // local -> local source write or -1
-  std::vector<bool> is_bottom_read;      // local -> reads ⊥?
-  std::vector<Mask> preds;               // local -> predecessor mask
-  std::size_t k = 0;                     // subset size
-  std::size_t nvars = 0;                 // compact var count
-  std::uint64_t max_states = 0;
+  std::size_t k;
+  std::size_t words;                   // per bit row over the k ops
+  std::vector<std::uint32_t> var;      // local -> compact var index
+  std::vector<std::uint32_t> source;   // local read -> source + 1, 0 = ⊥
+  std::vector<std::uint8_t> is_write;
+  BitRows preds;                       // row v: ops that must precede v
+  std::uint64_t max_states;
   std::uint64_t states = 0;
-  // Membership-only memo of failed search states; never iterated, so hash
-  // order cannot influence the verdict or the (deterministic) found order.
-  // pardsm-lint: allow(unordered-iter): membership-only memo set, never iterated
-  std::unordered_set<StateKey, StateKeyHash> failed;
 
-  std::vector<std::int32_t> placed_order;  // local indices, search stack
-  Mask placed;
-  std::vector<std::int32_t> last_write;    // compact var -> local op or -1
-  std::vector<std::int32_t> placed_count_pred;  // #placed preds per op
+  std::vector<Word> placed;
+  std::vector<std::uint32_t> last_write;  // compact var -> write + 1, 0 = ⊥
+  std::vector<std::int32_t> placed_order; // local indices, search stack
+  // Failed states, keyed by (placed set, last write per var): the placed
+  // words, then the last_write entries two to a word.
+  KeySet failed;
+  std::vector<Word> key;
 
-  explicit Search(const History& hist) : h(hist), placed(1) {}
+  Search(std::size_t k_, std::size_t nvars, std::uint64_t budget)
+      : k(k_),
+        words((k_ + 63) / 64),
+        var(k_),
+        source(k_, 0),
+        is_write(k_, 0),
+        preds(k_, words),
+        max_states(budget),
+        placed(words, 0),
+        last_write(nvars, 0),
+        failed(words + (nvars + 1) / 2),
+        key(words + (nvars + 1) / 2, 0) {}
 
-  [[nodiscard]] StateKey key() const {
-    StateKey k2;
-    k2.packed = placed.words();
-    for (std::int32_t lw : last_write) {
-      k2.packed.push_back(static_cast<std::uint64_t>(lw + 1));
-    }
-    return k2;
+  void write_key() {
+    std::copy(placed.begin(), placed.end(), key.begin());
+    std::memcpy(&key[words], last_write.data(),
+                last_write.size() * sizeof(std::uint32_t));
   }
 
-  /// Is placing local op `v` next legal w.r.t. read semantics?
-  [[nodiscard]] bool read_legal(std::size_t v) const {
-    const Operation& op = h.op(subset[v]);
-    if (!op.is_read()) return true;
-    const std::int32_t lw = last_write[static_cast<std::size_t>(local_var[v])];
-    if (is_bottom_read[v]) return lw == -1;
-    return lw == read_src[v];
+  /// All predecessors placed, and (for a read) its source is the latest
+  /// write of its variable.
+  [[nodiscard]] bool ready(std::size_t v) {
+    const Word* need = preds.row(v);
+    for (std::size_t w = 0; w < words; ++w) {
+      if ((need[w] & ~placed[w]) != 0) return false;
+    }
+    return is_write[v] != 0 || last_write[var[v]] == source[v];
   }
 
   bool dfs() {
     if (placed_order.size() == k) return true;
     if (++states > max_states) return false;  // caller inspects budget
-    const StateKey memo_key = key();
-    if (failed.contains(memo_key)) return false;
+    write_key();
+    const std::uint64_t hash = hash_words(key.data(), key.size());
+    if (failed.contains(key.data(), hash)) return false;
 
     for (std::size_t v = 0; v < k; ++v) {
-      if (placed.test(v)) continue;
-      if (placed_count_pred[v] != 0) continue;  // unplaced predecessors
-      if (!read_legal(v)) continue;
+      if ((placed[v / 64] & bit(v)) != 0 || !ready(v)) continue;
 
       // Place v.
-      placed.set(v);
+      std::uint32_t& lw = last_write[var[v]];
+      const std::uint32_t saved_lw = lw;
+      if (is_write[v] != 0) lw = static_cast<std::uint32_t>(v + 1);
+      placed[v / 64] |= bit(v);
       placed_order.push_back(static_cast<std::int32_t>(v));
-      const Operation& op = h.op(subset[v]);
-      const auto cv = static_cast<std::size_t>(local_var[v]);
-      const std::int32_t saved_lw = last_write[cv];
-      if (op.is_write()) last_write[cv] = static_cast<std::int32_t>(v);
-      std::vector<std::size_t> decremented;
-      for (std::size_t b = 0; b < k; ++b) {
-        if (preds_has(b, v)) {
-          --placed_count_pred[b];
-          decremented.push_back(b);
-        }
-      }
 
       if (dfs()) return true;
       if (states > max_states) return false;
 
       // Undo.
-      for (std::size_t b : decremented) ++placed_count_pred[b];
-      last_write[cv] = saved_lw;
       placed_order.pop_back();
-      rebuild_placed_mask();
+      placed[v / 64] &= ~bit(v);
+      lw = saved_lw;
     }
 
-    failed.insert(memo_key);
+    write_key();  // the children overwrote the scratch key
+    failed.insert(key.data(), hash);
     return false;
   }
-
-  // -- helpers over the predecessor masks ---------------------------------
-  [[nodiscard]] bool preds_has(std::size_t b, std::size_t a) const {
-    return preds[b].test(a);
-  }
-  void rebuild_placed_mask() {
-    // Mask has no clear(); rebuild via placed_order (cheap at our sizes).
-    Mask fresh(k);
-    for (std::int32_t u : placed_order) {
-      fresh.set(static_cast<std::size_t>(u));
-    }
-    placed = fresh;
-  }
 };
+
+SerializationResult refuted_by_propagation() {
+  SerializationResult result;
+  result.verdict = SearchVerdict::kNotSerializable;
+  result.refuted_by_propagation = true;
+  return result;
+}
 
 }  // namespace
 
@@ -153,6 +200,17 @@ SerializationResult find_serialization(const History& h,
                                        const std::vector<OpIndex>& subset,
                                        const Relation& constraint,
                                        const SearchOptions& options) {
+  return find_serialization(h, subset, constraint, h.resolve_read_from(),
+                            options);
+}
+
+SerializationResult find_serialization(const History& h,
+                                       const std::vector<OpIndex>& subset,
+                                       const Relation& constraint,
+                                       const std::vector<OpIndex>& read_from,
+                                       const SearchOptions& options) {
+  PARDSM_CHECK(read_from.size() == h.size(),
+               "find_serialization: read_from is not this history's");
   SerializationResult result;
   const std::size_t k = subset.size();
   if (k == 0) {
@@ -160,119 +218,88 @@ SerializationResult find_serialization(const History& h,
     return result;
   }
 
-  // Map global -> local.
-  std::map<OpIndex, std::int32_t> to_local;
+  // Flat global -> local + 1 and var -> compact var + 1 maps (0 = absent).
+  std::vector<std::uint32_t> to_local(h.size(), 0);
+  std::vector<std::uint32_t> compact(h.var_count(), 0);
+  std::uint32_t nvars = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    to_local[subset[i]] = static_cast<std::int32_t>(i);
+    to_local[static_cast<std::size_t>(subset[i])] =
+        static_cast<std::uint32_t>(i + 1);
+    auto& c = compact[static_cast<std::size_t>(h.op(subset[i]).var)];
+    if (c == 0) c = ++nvars;
   }
-
-  // Compact variable ids.
-  std::map<VarId, std::int32_t> var_compact;
-  for (OpIndex g : subset) {
-    var_compact.emplace(h.op(g).var,
-                        static_cast<std::int32_t>(var_compact.size()));
-  }
+  Search search(k, nvars, options.max_states);
+  const std::size_t words = search.words;
 
   // Read sources (local).  A read whose source write is outside the subset
   // can never be legal (its value's writer is not in S).
-  const auto global_src = h.resolve_read_from();
-  std::vector<std::int32_t> read_src(k, -1);
-  std::vector<bool> bottom_read(k, false);
+  BitRows writes_of(nvars, words);  // compact var -> its writes
   for (std::size_t i = 0; i < k; ++i) {
     const Operation& op = h.op(subset[i]);
-    if (!op.is_read()) continue;
-    const OpIndex s = global_src[static_cast<std::size_t>(subset[i])];
-    if (s == kNoOp) {
-      bottom_read[i] = true;
+    search.var[i] = compact[static_cast<std::size_t>(op.var)] - 1;
+    if (op.is_write()) {
+      search.is_write[i] = 1;
+      writes_of.set(search.var[i], i);
       continue;
     }
-    auto it = to_local.find(s);
-    if (it == to_local.end()) {
-      result.verdict = SearchVerdict::kNotSerializable;
-      result.refuted_by_propagation = true;
-      return result;
-    }
-    read_src[i] = it->second;
+    const OpIndex src = read_from[static_cast<std::size_t>(subset[i])];
+    if (src == kNoOp) continue;  // ⊥-read
+    search.source[i] = to_local[static_cast<std::size_t>(src)];
+    if (search.source[i] == 0) return refuted_by_propagation();
   }
 
-  // Local constraint, transitively closed.
-  Relation local = constraint.restrict_to(subset).closure();
+  // Local constraint as successor rows, transitively closed.
+  BitRows succ(k, words);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b < k; ++b) {
+      if (constraint.has(static_cast<std::size_t>(subset[a]),
+                         static_cast<std::size_t>(subset[b]))) {
+        succ.set(a, b);
+      }
+    }
+  }
+  succ.close();
 
   // Forced-edge propagation to fixpoint.
   //   For read r from w on x, other write w' on x:
-  //     w  -> w'  forces  r  -> w'
+  //     w  -> w'  forces  r  -> w'   (w -> w only if cyclic: refuted anyway)
   //     w' -> r   forces  w' -> w
   //   For a ⊥-read r on x: every write w' on x is forced after r.
-  std::vector<std::vector<std::size_t>> writes_per_var(var_compact.size());
-  for (std::size_t i = 0; i < k; ++i) {
-    const Operation& op = h.op(subset[i]);
-    if (op.is_write()) {
-      writes_per_var[static_cast<std::size_t>(var_compact[op.var])].push_back(
-          i);
-    }
-  }
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t r = 0; r < k; ++r) {
-      const Operation& op = h.op(subset[r]);
-      if (!op.is_read()) continue;
-      const auto cv = static_cast<std::size_t>(var_compact[op.var]);
-      if (bottom_read[r]) {
-        for (std::size_t w2 : writes_per_var[cv]) {
-          if (!local.has(r, w2)) {
-            local.add(r, w2);
-            changed = true;
-          }
-        }
-        continue;
+      if (search.is_write[r] != 0) continue;
+      const std::size_t x = search.var[r];
+      const Word* writes = writes_of.row(x);
+      const bool bottom = search.source[r] == 0;
+      const std::size_t w = bottom ? 0 : search.source[r] - 1;
+      Word* row_r = succ.row(r);
+      const Word* row_w = succ.row(w);
+      for (std::size_t i = 0; i < words; ++i) {
+        const Word add = writes[i] & (bottom ? ~Word{0} : row_w[i]) & ~row_r[i];
+        row_r[i] |= add;
+        changed |= add != 0;
       }
-      const auto w = static_cast<std::size_t>(read_src[r]);
-      for (std::size_t w2 : writes_per_var[cv]) {
-        if (w2 == w) continue;
-        if (local.has(w, w2) && !local.has(r, w2)) {
-          local.add(r, w2);
+      if (bottom) continue;
+      writes_of.for_each(x, [&](std::size_t w2) {
+        if (w2 != w && succ.test(w2, r) && !succ.test(w2, w)) {
+          succ.set(w2, w);
           changed = true;
         }
-        if (local.has(w2, r) && !local.has(w2, w)) {
-          local.add(w2, w);
-          changed = true;
-        }
-      }
+      });
     }
-    if (changed) local.close();
+    if (changed) succ.close();
   }
-  if (!local.is_acyclic()) {
-    result.verdict = SearchVerdict::kNotSerializable;
-    result.refuted_by_propagation = true;
-    return result;
-  }
-
-  // Backtracking search.
-  Search search(h);
-  search.subset = subset;
-  search.k = k;
-  search.nvars = var_compact.size();
-  search.max_states = options.max_states;
-  search.local_var.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    search.local_var[i] = var_compact[h.op(subset[i]).var];
-  }
-  search.read_src = read_src;
-  search.is_bottom_read = bottom_read;
-  search.preds.assign(k, Mask(k));
-  search.placed_count_pred.assign(k, 0);
+  // Closed, so any cycle shows as a self-loop.
   for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = 0; b < k; ++b) {
-      if (a != b && local.has(a, b)) {
-        search.preds[b].set(a);
-        ++search.placed_count_pred[b];
-      }
-    }
+    if (succ.test(a, a)) return refuted_by_propagation();
   }
-  search.placed = Mask(k);
-  search.last_write.assign(var_compact.size(), -1);
 
+  // Backtracking search over the transposed rows.
+  for (std::size_t a = 0; a < k; ++a) {
+    succ.for_each(a, [&](std::size_t b) { search.preds.set(b, a); });
+  }
   const bool found = search.dfs();
   result.states_explored = search.states;
   if (found) {

@@ -11,7 +11,12 @@
 //     write w' on x, "w before w'" forces "r before w'", and "w' before r"
 //     forces "w' before w"; propagated to fixpoint before searching, which
 //     detects most inconsistencies without any search;
-//   - memoization of failed states keyed by (placed-set, last-write-per-var).
+//   - memoization of failed states keyed by (placed-set, last-write-per-var),
+//     each key a fixed-stride run of 64-bit words in one arena, found
+//     through a flat open-addressing table.
+//
+// The closure, the propagation and the readiness test ("every predecessor
+// placed") run on bit-parallel rows of ceil(k/64) words, k = |subset|.
 //
 // Deciding serialization existence is NP-hard in general; the finder is
 // exact but bounded by `max_states`; exceeding the budget yields verdict
@@ -54,6 +59,13 @@ struct SearchOptions {
 [[nodiscard]] SerializationResult find_serialization(
     const History& h, const std::vector<OpIndex>& subset,
     const Relation& constraint, const SearchOptions& options = {});
+
+/// The same, with `read_from` = h.resolve_read_from() resolved once by a
+/// caller that searches many subsets of one history.
+[[nodiscard]] SerializationResult find_serialization(
+    const History& h, const std::vector<OpIndex>& subset,
+    const Relation& constraint, const std::vector<OpIndex>& read_from,
+    const SearchOptions& options = {});
 
 /// Verify that `order` is a legal serialization of exactly `subset` under
 /// `constraint` (used to validate witnesses in tests).

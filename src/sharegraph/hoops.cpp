@@ -80,206 +80,151 @@ HoopEnumeration enumerate_hoops(const ShareGraph& sg, VarId x,
 
 namespace {
 
-/// Unit-capacity max-flow check: are there two vertex-disjoint paths
-/// (disjoint except at v) from v to two distinct members of C(x), with all
-/// intermediate vertices outside C(x) and all edges labelled ≠ x?
-///
-/// Standard vertex-splitting construction: every non-clique vertex u ≠ v
-/// becomes u_in -> u_out with capacity 1; clique vertices connect directly
-/// to the sink with capacity 1 (so two paths must end at distinct clique
-/// members); v is the source with capacity 2.
-///
-/// The flow network is identical for every candidate v of the same
-/// variable except for the capacity through v itself, so it is built ONCE
-/// per (sg, x) and reused: each query bumps v's internal capacity, runs at
-/// most two augmentations and restores the capacities in place.  This
-/// turns hoop_members from O(candidates · graph-build) allocations into a
-/// single build — the dominant cost of StaticRelevance::analyze on large
-/// random topologies.
-class DisjointPathFinder {
+/// The block pass of hoops.h, with its scratch space reused across
+/// variables.  H_x's vertices are the processes plus the virtual terminal
+/// t = n; the DFS starts at t, so the blocks containing t are exactly the
+/// ones closed at the root.
+class BlockPass {
  public:
-  DisjointPathFinder(const ShareGraph& sg, VarId x,
-                     const std::vector<bool>& in_clique) {
-    const std::size_t n = sg.process_count();
-    // Node ids: u_in = 2u, u_out = 2u+1, sink = 2n.
-    sink_ = static_cast<int>(2 * n);
-    adj_.assign(2 * n + 1, {});
-    internal_edge_.assign(n, -1);
-    for (std::size_t u = 0; u < n; ++u) {
-      const auto pu = static_cast<ProcessId>(u);
-      internal_edge_[u] =
-          static_cast<int>(adj_[2 * u].size());  // in -> out edge index
-      if (in_clique[u]) {
-        // Clique member: in == out for our purposes; capacity 1 to the
-        // sink.
-        add_edge(static_cast<int>(2 * u), static_cast<int>(2 * u + 1), 1);
-        add_edge(static_cast<int>(2 * u + 1), sink_, 1);
-      } else {
-        add_edge(static_cast<int>(2 * u), static_cast<int>(2 * u + 1), 1);
-      }
-      const auto& nbrs = sg.neighbours(pu);
-      const auto& summaries = sg.edge_summaries(pu);
-      for (std::size_t wi = 0; wi < nbrs.size(); ++wi) {
-        if (!edge_usable(summaries[wi], x)) continue;
-        // Directed u_out -> w_in; the reverse direction is added when w is
-        // processed.  Intermediates must be non-clique, but edges into
-        // clique members are allowed (they terminate a path).  Candidates
-        // are never clique members, so clique vertices get no out-edges.
-        if (in_clique[u]) continue;
-        add_edge(static_cast<int>(2 * u + 1),
-                 static_cast<int>(2 * static_cast<std::size_t>(nbrs[wi])), 1);
-      }
-    }
-    prev_node_.resize(adj_.size());
-    prev_edge_.resize(adj_.size());
-    mark_.assign(adj_.size(), 0);
-  }
+  explicit BlockPass(const ShareGraph& sg)
+      : sg_(sg),
+        t_(sg.process_count()),
+        in_clique_(t_, 0),
+        disc_(t_ + 1, 0),
+        low_(t_ + 1, 0) {}
 
-  /// Two vertex-disjoint v→C(x) paths?  `v` must be a non-clique vertex.
-  bool two_disjoint_from(ProcessId v) {
-    const auto vi = static_cast<std::size_t>(v);
-    adj_[2 * vi][static_cast<std::size_t>(internal_edge_[vi])].cap = 2;
-    const int source = static_cast<int>(2 * vi);  // v_in
-    touched_.clear();
-    int flow = 0;
-    while (flow < 2 && augment(source)) ++flow;
-    // Undo exactly the edges the augmenting paths pushed flow through —
-    // O(path length), not O(E) — then re-pin v's internal capacity.
-    for (const auto& [node, edge] : touched_) {
-      Edge& e = adj_[static_cast<std::size_t>(node)]
-                    [static_cast<std::size_t>(edge)];
-      e.cap += 1;
-      adj_[static_cast<std::size_t>(e.to)][static_cast<std::size_t>(e.rev)]
-          .cap -= 1;
+  /// Processes outside C(x) on some x-hoop, ascending.
+  const std::vector<ProcessId>& members(VarId x) {
+    const auto& clique = sg_.clique(x);
+    for (ProcessId p : clique) in_clique_[static_cast<std::size_t>(p)] = 1;
+    members_.clear();
+    // Timestamps grow across calls, so "visited in this pass" is
+    // disc > base and nothing needs clearing.
+    const std::uint64_t base = time_;
+    disc_[t_] = low_[t_] = ++time_;
+    frames_.push_back({t_, 0});
+    while (!frames_.empty()) {
+      Frame& f = frames_.back();
+      const std::size_t v = f.v;
+      const std::size_t w = next_neighbour(f, x, clique);
+      if (w != kNone) {
+        if (disc_[w] > base) {
+          // The tree edge back to v's parent lands here too; it only
+          // lowers low[v] to disc[parent], which leaves the block test
+          // below unchanged.
+          low_[v] = std::min(low_[v], disc_[w]);
+        } else {
+          disc_[w] = low_[w] = ++time_;
+          stack_.push_back(w);
+          frames_.push_back({w, 0});
+        }
+        continue;
+      }
+      frames_.pop_back();
+      if (frames_.empty()) break;
+      const std::size_t u = frames_.back().v;
+      low_[u] = std::min(low_[u], low_[v]);
+      if (low_[v] < disc_[u]) continue;
+      // u separates v's subtree: pop the block {u} ∪ (stack down to v).
+      std::size_t popped;
+      do {
+        popped = stack_.back();
+        stack_.pop_back();
+        if (u == t_ && in_clique_[popped] == 0) {
+          members_.push_back(static_cast<ProcessId>(popped));
+        }
+      } while (popped != v);
     }
-    adj_[2 * vi][static_cast<std::size_t>(internal_edge_[vi])].cap = 1;
-    return flow >= 2;
+    for (ProcessId p : clique) in_clique_[static_cast<std::size_t>(p)] = 0;
+    std::sort(members_.begin(), members_.end());
+    return members_;
   }
 
  private:
-  struct Edge {
-    int to;
-    int cap;
-    int rev;  // index of reverse edge in adj[to]
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  struct Frame {
+    std::size_t v;
+    std::size_t next;  ///< cursor into v's neighbour list (t's: C(x))
   };
 
-  void add_edge(int a, int b, int cap) {
-    adj_[static_cast<std::size_t>(a)].push_back(
-        {b, cap, static_cast<int>(adj_[static_cast<std::size_t>(b)].size())});
-    adj_[static_cast<std::size_t>(b)].push_back(
-        {a, 0,
-         static_cast<int>(adj_[static_cast<std::size_t>(a)].size()) - 1});
-  }
-
-  /// One BFS augmenting step; true if a source→sink path was found.
-  /// Visited state is an epoch stamp, so starting a BFS is O(1), not a
-  /// pair of O(V) fills.
-  bool augment(int source) {
-    const std::uint64_t epoch = ++epoch_;
-    bfs_.clear();
-    bfs_.push_back(source);
-    mark_[static_cast<std::size_t>(source)] = epoch;
-    prev_node_[static_cast<std::size_t>(source)] = source;
-    for (std::size_t head = 0;
-         head < bfs_.size() && mark_[static_cast<std::size_t>(sink_)] != epoch;
-         ++head) {
-      const int u = bfs_[head];
-      const auto& edges = adj_[static_cast<std::size_t>(u)];
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        if (edges[e].cap <= 0) continue;
-        const int to = edges[e].to;
-        if (mark_[static_cast<std::size_t>(to)] == epoch) continue;
-        mark_[static_cast<std::size_t>(to)] = epoch;
-        prev_node_[static_cast<std::size_t>(to)] = u;
-        prev_edge_[static_cast<std::size_t>(to)] = static_cast<int>(e);
-        bfs_.push_back(to);
+  /// Advance f's cursor to v's next H_x neighbour; kNone when exhausted.
+  /// A clique member's list is its usable edges to non-members, then t.
+  std::size_t next_neighbour(Frame& f, VarId x,
+                             const std::vector<ProcessId>& clique) const {
+    if (f.v == t_) {
+      return f.next < clique.size()
+                 ? static_cast<std::size_t>(clique[f.next++])
+                 : kNone;
+    }
+    const auto pv = static_cast<ProcessId>(f.v);
+    const auto& nbrs = sg_.neighbours(pv);
+    const auto& summaries = sg_.edge_summaries(pv);
+    const bool v_in = in_clique_[f.v] != 0;
+    while (f.next < nbrs.size()) {
+      const std::size_t i = f.next++;
+      const auto w = static_cast<std::size_t>(nbrs[i]);
+      if (edge_usable(summaries[i], x) && !(v_in && in_clique_[w] != 0)) {
+        return w;
       }
     }
-    if (mark_[static_cast<std::size_t>(sink_)] != epoch) return false;
-    int u = sink_;
-    while (u != source) {
-      const int pu = prev_node_[static_cast<std::size_t>(u)];
-      const int pe = prev_edge_[static_cast<std::size_t>(u)];
-      auto& e = adj_[static_cast<std::size_t>(pu)][static_cast<std::size_t>(pe)];
-      e.cap -= 1;
-      adj_[static_cast<std::size_t>(u)][static_cast<std::size_t>(e.rev)].cap +=
-          1;
-      touched_.push_back({pu, pe});
-      u = pu;
-    }
-    return true;
+    if (v_in && f.next++ == nbrs.size()) return t_;
+    return kNone;
   }
 
-  int sink_ = 0;
-  std::vector<std::vector<Edge>> adj_;
-  std::vector<int> internal_edge_;  ///< per vertex: index of in→out edge
-  std::vector<int> prev_node_;
-  std::vector<int> prev_edge_;
-  std::vector<std::uint64_t> mark_;  ///< BFS visited epoch per node
-  std::uint64_t epoch_ = 0;
-  std::vector<int> bfs_;
-  std::vector<std::pair<int, int>> touched_;  ///< (node, edge) with flow
+  const ShareGraph& sg_;
+  std::size_t t_;
+  std::vector<std::uint8_t> in_clique_;
+  std::vector<std::uint64_t> disc_;
+  std::vector<std::uint64_t> low_;
+  std::uint64_t time_ = 0;
+  std::vector<Frame> frames_;        ///< the DFS path from t
+  std::vector<std::size_t> stack_;   ///< visited, not yet assigned a block
+  std::vector<ProcessId> members_;
 };
+
+std::set<ProcessId> relevant_set(BlockPass& pass, const ShareGraph& sg,
+                                 VarId x) {
+  const auto& members = pass.members(x);
+  std::set<ProcessId> out(members.begin(), members.end());
+  const auto& clique = sg.clique(x);
+  out.insert(clique.begin(), clique.end());
+  return out;
+}
 
 }  // namespace
 
 bool hoop_exists(const ShareGraph& sg, VarId x) {
-  const std::size_t n = sg.process_count();
-  std::vector<bool> in_clique(n, false);
-  for (ProcessId p : sg.clique(x)) {
-    in_clique[static_cast<std::size_t>(p)] = true;
-  }
-  // A hoop with one intermediate exists iff some non-clique vertex has two
-  // disjoint paths to distinct clique members; checking every non-clique
-  // vertex is sufficient (any hoop has at least one intermediate).
-  DisjointPathFinder finder(sg, x, in_clique);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (in_clique[v]) continue;
-    if (finder.two_disjoint_from(static_cast<ProcessId>(v))) {
-      return true;
-    }
-  }
-  return false;
+  return !BlockPass(sg).members(x).empty();
 }
 
 std::set<ProcessId> hoop_members(const ShareGraph& sg, VarId x) {
-  const std::size_t n = sg.process_count();
-  std::vector<bool> in_clique(n, false);
-  for (ProcessId p : sg.clique(x)) {
-    in_clique[static_cast<std::size_t>(p)] = true;
-  }
-  std::set<ProcessId> members;
-  DisjointPathFinder finder(sg, x, in_clique);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (in_clique[v]) continue;
-    if (finder.two_disjoint_from(static_cast<ProcessId>(v))) {
-      members.insert(static_cast<ProcessId>(v));
-    }
-  }
-  return members;
+  BlockPass pass(sg);
+  const auto& members = pass.members(x);
+  return {members.begin(), members.end()};
 }
 
 std::set<ProcessId> x_relevant(const ShareGraph& sg, VarId x) {
-  std::set<ProcessId> out = hoop_members(sg, x);
-  for (ProcessId p : sg.clique(x)) out.insert(p);
-  return out;
+  BlockPass pass(sg);
+  return relevant_set(pass, sg, x);
 }
 
 std::vector<std::set<ProcessId>> all_relevant_sets(const ShareGraph& sg) {
+  BlockPass pass(sg);
   std::vector<std::set<ProcessId>> out;
   out.reserve(sg.var_count());
   for (std::size_t x = 0; x < sg.var_count(); ++x) {
-    out.push_back(x_relevant(sg, static_cast<VarId>(x)));
+    out.push_back(relevant_set(pass, sg, static_cast<VarId>(x)));
   }
   return out;
 }
 
 RelevanceSummary summarize_relevance(const ShareGraph& sg) {
   RelevanceSummary s;
+  const auto all = all_relevant_sets(sg);
   for (std::size_t x = 0; x < sg.var_count(); ++x) {
-    const auto xv = static_cast<VarId>(x);
-    const auto relevant = x_relevant(sg, xv);
-    const auto& clique = sg.clique(xv);
+    const auto& relevant = all[x];
+    const auto& clique = sg.clique(static_cast<VarId>(x));
     s.total_relevant += relevant.size();
     s.total_replicas += clique.size();
     if (relevant.size() > clique.size()) ++s.vars_with_hoops;

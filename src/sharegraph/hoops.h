@@ -12,12 +12,15 @@
 //    bench_fig2_hoops.
 //
 //  * hoop_members — the set of processes lying on at least one x-hoop,
-//    computed in polynomial time: v ∉ C(x) lies on an x-hoop iff there are
-//    two vertex-disjoint paths (sharing only v) from v to two *distinct*
-//    members of C(x) with all intermediates outside C(x).  We decide this
-//    with a unit-capacity max-flow (value 2) per vertex.  Combined with
-//    C(x) this yields the x-relevant set of Theorem 1 without any
-//    enumeration.
+//    computed in linear time by one biconnected-component pass over the
+//    graph H_x: the usable edges (label ≠ x) minus those joining two
+//    members of C(x), plus a virtual terminal t joined to every member of
+//    C(x).  v ∉ C(x) lies on an x-hoop iff v shares a block with t: by
+//    Menger that means two internally disjoint v–t paths, and cutting each
+//    at its first clique vertex gives two paths from v to *distinct*
+//    members of C(x) with all intermediates outside C(x) — the two halves
+//    of a hoop through v.  Combined with C(x) this yields the x-relevant
+//    set of Theorem 1 without any enumeration.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +53,14 @@ struct HoopEnumeration {
 
 /// All processes *outside C(x)* lying on at least one x-hoop (the hoops'
 /// intermediate vertices; endpoints are C(x) members and are reported by
-/// x_relevant instead).  Polynomial time (max-flow based).
+/// x_relevant instead).  Linear time (one block pass).
 [[nodiscard]] std::set<ProcessId> hoop_members(const ShareGraph& sg, VarId x);
 
 /// Theorem 1: the x-relevant set = C(x) ∪ hoop members.
 [[nodiscard]] std::set<ProcessId> x_relevant(const ShareGraph& sg, VarId x);
 
-/// Convenience: x-relevant sets for every variable.
+/// x-relevant sets for every variable (one block pass per variable, one
+/// workspace for all of them).
 [[nodiscard]] std::vector<std::set<ProcessId>> all_relevant_sets(
     const ShareGraph& sg);
 

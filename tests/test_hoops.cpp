@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sharegraph/hoops.h"
 #include "sharegraph/topologies.h"
 
@@ -116,26 +118,85 @@ TEST(Hoops, AcyclicClustersBridgesHaveNoHoops) {
   EXPECT_FALSE(hoop_exists(sg, 4));
 }
 
+/// Union of the enumerated hoops' intermediate vertices must equal
+/// hoop_members for every variable, and hoop_exists must agree.
+void expect_enumeration_agrees(const Distribution& dist,
+                               const std::string& label) {
+  const ShareGraph sg(dist);
+  for (VarId x = 0; x < static_cast<VarId>(sg.var_count()); ++x) {
+    const auto e = enumerate_hoops(sg, x, /*limit=*/1u << 18);
+    ASSERT_FALSE(e.truncated) << label << " x" << x;
+    std::set<ProcessId> from_enum;
+    for (const auto& hoop : e.hoops) {
+      for (std::size_t i = 1; i + 1 < hoop.size(); ++i) {
+        from_enum.insert(hoop[i]);
+      }
+    }
+    EXPECT_EQ(from_enum, hoop_members(sg, x)) << label << " x" << x;
+    EXPECT_EQ(!e.hoops.empty(), hoop_exists(sg, x)) << label << " x" << x;
+  }
+}
+
+/// C(x) = {0, 4}.  Process 0 is a cut vertex: the triangle 0-1-2 hangs off
+/// it, so 1 and 2 reach C(x) twice but only through 0.  Process 4 is a cut
+/// vertex for the triangle 4-5-6 likewise.  The only hoop is [0, 3, 4].
+Distribution clique_member_cut_vertex() {
+  Distribution d;
+  d.name = "clique-cut-vertex";
+  d.var_count = 9;
+  d.per_process = {
+      {0, 1, 3, 4},  // p0: x, the triangle 0-1-2, the hoop edge 0-3
+      {1, 2},        // p1
+      {2, 3},        // p2
+      {4, 5},        // p3: the hoop's intermediate
+      {0, 5, 6, 8},  // p4: x, the hoop edge 3-4, the triangle 4-5-6
+      {6, 7},        // p5
+      {7, 8},        // p6
+  };
+  return d;
+}
+
 TEST(Hoops, EnumerationAgreesWithFlowMembership) {
   // Property: union of intermediate vertices over all enumerated hoops ==
   // hoop_members (on graphs small enough to enumerate exhaustively).
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const ShareGraph sg(topo::random_replication(8, 6, 2, seed));
-    for (VarId x = 0; x < 6; ++x) {
-      const auto e = enumerate_hoops(sg, x, /*limit=*/1u << 18);
-      ASSERT_FALSE(e.truncated);
-      std::set<ProcessId> from_enum;
-      for (const auto& hoop : e.hoops) {
-        for (std::size_t i = 1; i + 1 < hoop.size(); ++i) {
-          from_enum.insert(hoop[i]);
-        }
+    expect_enumeration_agrees(topo::random_replication(8, 6, 2, seed),
+                              "random(8,6,2) seed " + std::to_string(seed));
+  }
+  for (std::size_t r = 2; r <= 4; ++r) {
+    for (const std::size_t n : {6u, 9u, 12u}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        expect_enumeration_agrees(
+            topo::random_replication(n, n, r, seed),
+            "random(" + std::to_string(n) + ", r=" + std::to_string(r) +
+                ") seed " + std::to_string(seed));
       }
-      EXPECT_EQ(from_enum, hoop_members(sg, x))
-          << "seed " << seed << " x" << x;
-      EXPECT_EQ(!e.hoops.empty(), hoop_exists(sg, x))
-          << "seed " << seed << " x" << x;
     }
   }
+  expect_enumeration_agrees(topo::ring(7), "ring(7)");
+  expect_enumeration_agrees(topo::chain_with_hoop(6), "chain_with_hoop(6)");
+  expect_enumeration_agrees(topo::open_chain(6), "open_chain(6)");
+  expect_enumeration_agrees(topo::grid(3, 3), "grid(3,3)");
+  expect_enumeration_agrees(topo::torus(3, 3), "torus(3,3)");
+  expect_enumeration_agrees(topo::hypercube(3), "hypercube(3)");
+  expect_enumeration_agrees(topo::hypercube(4), "hypercube(4)");
+  expect_enumeration_agrees(topo::star(5), "star(5)");
+  expect_enumeration_agrees(topo::clusters(3, 3, /*cyclic=*/true),
+                            "clusters cyclic");
+  expect_enumeration_agrees(topo::clusters(3, 3, /*cyclic=*/false),
+                            "clusters acyclic");
+  expect_enumeration_agrees(topo::fig1(), "fig1");
+  expect_enumeration_agrees(topo::bellman_ford_fig8(), "bellman_ford_fig8");
+  expect_enumeration_agrees(clique_member_cut_vertex(), "clique cut vertex");
+}
+
+TEST(Hoops, CliqueMemberCutVertexBlocksTheHangingTriangles) {
+  const ShareGraph sg(clique_member_cut_vertex());
+  EXPECT_EQ(hoop_members(sg, 0), (std::set<ProcessId>{3}));
+  EXPECT_EQ(x_relevant(sg, 0), (std::set<ProcessId>{0, 3, 4}));
+  const auto e = enumerate_hoops(sg, 0);
+  ASSERT_EQ(e.hoops.size(), 1u);
+  EXPECT_EQ(e.hoops.front(), (Hoop{0, 3, 4}));
 }
 
 TEST(Hoops, HoopEndpointsAreCliqueMembersAndInteriorIsNot) {
