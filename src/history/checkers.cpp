@@ -59,21 +59,26 @@ bool implies(Criterion stronger, Criterion weaker) {
 }
 
 Relation criterion_relation(const History& h, Criterion c, LazyMode mode) {
+  return criterion_relation(h, c, mode, h.resolve_read_from());
+}
+
+Relation criterion_relation(const History& h, Criterion c, LazyMode mode,
+                            const std::vector<OpIndex>& read_from) {
   switch (c) {
     case Criterion::kSequential:
     case Criterion::kCache:  // per-variable: program order, restricted to
                              // each variable's ops by the subset search
       return program_order(h);
     case Criterion::kCausal:
-      return causality_order(h);
+      return causality_order(h, read_from);
     case Criterion::kLazyCausal:
-      return lazy_causality_order(h, mode);
+      return lazy_causality_order(h, mode, read_from);
     case Criterion::kLazySemiCausal:
-      return lazy_semi_causal_order(h, mode);
+      return lazy_semi_causal_order(h, mode, read_from);
     case Criterion::kPram:
-      return pram_relation(h);
+      return pram_relation(h, read_from);
     case Criterion::kSlow:
-      return slow_relation(h);
+      return slow_relation(h, read_from);
   }
   PARDSM_CHECK(false, "unreachable criterion");
   return Relation(0);
@@ -93,7 +98,8 @@ CheckResult check_history(const History& h, Criterion c,
     return result;
   }
 
-  const Relation relation = criterion_relation(h, c, options.lazy_mode);
+  const Relation relation =
+      criterion_relation(h, c, options.lazy_mode, read_from);
 
   if (c == Criterion::kSequential) {
     // One serialization of all operations.

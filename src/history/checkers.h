@@ -87,6 +87,10 @@ struct CheckResult {
 /// The constraint relation a criterion imposes (over all ops of h).
 [[nodiscard]] Relation criterion_relation(const History& h, Criterion c,
                                           LazyMode mode);
+/// The same, with `read_from` = h.resolve_read_from() already resolved.
+[[nodiscard]] Relation criterion_relation(const History& h, Criterion c,
+                                          LazyMode mode,
+                                          const std::vector<OpIndex>& read_from);
 
 /// Classify a history under every criterion (strongest first); handy for
 /// the consistency-explorer example and the Fig 4–6 benches.

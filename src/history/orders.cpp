@@ -17,19 +17,28 @@ Relation program_order(const History& h) {
 }
 
 Relation read_from_order(const History& h) {
+  return read_from_order(h, h.resolve_read_from());
+}
+
+Relation read_from_order(const History& h,
+                         const std::vector<OpIndex>& read_from) {
   Relation r(h.size());
-  const auto source = h.resolve_read_from();
   for (std::size_t i = 0; i < h.size(); ++i) {
-    if (source[i] != kNoOp) {
-      r.add(static_cast<std::size_t>(source[i]), i);
+    if (read_from[i] != kNoOp) {
+      r.add(static_cast<std::size_t>(read_from[i]), i);
     }
   }
   return r;
 }
 
 Relation causality_order(const History& h) {
+  return causality_order(h, h.resolve_read_from());
+}
+
+Relation causality_order(const History& h,
+                         const std::vector<OpIndex>& read_from) {
   Relation r = program_order(h);
-  r.merge(read_from_order(h));
+  r.merge(read_from_order(h, read_from));
   r.close();
   return r;
 }
@@ -77,22 +86,31 @@ Relation lazy_program_order(const History& h, LazyMode mode) {
 }
 
 Relation lazy_causality_order(const History& h, LazyMode mode) {
+  return lazy_causality_order(h, mode, h.resolve_read_from());
+}
+
+Relation lazy_causality_order(const History& h, LazyMode mode,
+                              const std::vector<OpIndex>& read_from) {
   Relation r = lazy_program_base(h, mode);
-  r.merge(read_from_order(h));
+  r.merge(read_from_order(h, read_from));
   r.close();
   return r;
 }
 
 Relation lazy_writes_before(const History& h, LazyMode mode) {
+  return lazy_writes_before(h, mode, h.resolve_read_from());
+}
+
+Relation lazy_writes_before(const History& h, LazyMode mode,
+                            const std::vector<OpIndex>& read_from) {
   Relation li = lazy_program_order(h, mode);
-  const auto source = h.resolve_read_from();
 
   Relation r(h.size());
   // For each read o2 = r_j(y)u with source o' = w_i(y)u, every write o1 by
   // the same process i with o1 ->li o' is lazy-writes-before o2.
   for (std::size_t o2 = 0; o2 < h.size(); ++o2) {
     if (!h.op(static_cast<OpIndex>(o2)).is_read()) continue;
-    const OpIndex src = source[o2];
+    const OpIndex src = read_from[o2];
     if (src == kNoOp) continue;
     const Operation& sw = h.op(src);
     for (OpIndex o1 : h.ops_of(sw.proc)) {
@@ -108,19 +126,34 @@ Relation lazy_writes_before(const History& h, LazyMode mode) {
 }
 
 Relation lazy_semi_causal_order(const History& h, LazyMode mode) {
+  return lazy_semi_causal_order(h, mode, h.resolve_read_from());
+}
+
+Relation lazy_semi_causal_order(const History& h, LazyMode mode,
+                                const std::vector<OpIndex>& read_from) {
   Relation r = lazy_program_base(h, mode);
-  r.merge(lazy_writes_before(h, mode));
+  r.merge(lazy_writes_before(h, mode, read_from));
   r.close();
   return r;
 }
 
 Relation pram_relation(const History& h) {
+  return pram_relation(h, h.resolve_read_from());
+}
+
+Relation pram_relation(const History& h,
+                       const std::vector<OpIndex>& read_from) {
   Relation r = program_order(h);
-  r.merge(read_from_order(h));
+  r.merge(read_from_order(h, read_from));
   return r;  // intentionally not closed (Definition 11 lacks transitivity)
 }
 
 Relation slow_relation(const History& h) {
+  return slow_relation(h, h.resolve_read_from());
+}
+
+Relation slow_relation(const History& h,
+                       const std::vector<OpIndex>& read_from) {
   Relation r(h.size());
   for (std::size_t p = 0; p < h.process_count(); ++p) {
     const auto& seq = h.ops_of(static_cast<ProcessId>(p));
@@ -133,7 +166,7 @@ Relation slow_relation(const History& h) {
       }
     }
   }
-  r.merge(read_from_order(h));
+  r.merge(read_from_order(h, read_from));
   return r;
 }
 

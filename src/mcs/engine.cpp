@@ -60,8 +60,9 @@ void ScriptedClient::issue() {
 }
 
 WorkloadClient::WorkloadClient(McsProcess& process, Simulator& sim,
-                               const workload::Generator& gen)
-    : process_(process), sim_(sim), gen_(gen) {}
+                               const workload::Generator& gen,
+                               LatencyHistogram& latency)
+    : process_(process), sim_(sim), gen_(gen), latency_(latency) {}
 
 void WorkloadClient::start(TimePoint start) {
   start_ = start;
@@ -138,6 +139,7 @@ std::vector<std::vector<ReplicaEntry>> snapshot_replicas(
   out.reserve(processes.size());
   for (const auto& proc : processes) {
     std::vector<ReplicaEntry> mine;
+    mine.reserve(proc->store().vars().size());
     for (VarId x : proc->store().vars()) {
       const Stored& s = proc->store().get(x);
       mine.push_back({x, s.value, s.source});
@@ -155,6 +157,7 @@ void collect_common(HistoryRecorder& recorder, NetworkStats& stats,
   result.history = recorder.take_history();
   result.total_traffic = stats.total();
   result.per_process_traffic = stats.per_process_snapshot();
+  result.protocol_stats.reserve(processes.size());
   for (const auto& proc : processes) {
     result.protocol_stats.push_back(proc->stats());
   }
@@ -201,20 +204,20 @@ void finish_clients(ScenarioRunResult& result, const ReliableTransport* rel,
                "protocol, unhealed fault or lost completion");
 }
 
-/// Fold every workload client's ledger into the result: histograms merge
-/// element-wise (associative and commutative, so per-shard order cannot
-/// matter), and the shortfall against the generator's schedule becomes
-/// the censored mass — an op that arrived but never completed is
-/// accounted above every latency bucket, never dropped and never a ~0
-/// sample.
+/// Fold every workload client's op counts into the result; the caller
+/// has already brought every latency sample into result.op_latency
+/// (histograms merge element-wise — associative and commutative, so
+/// per-shard or per-client order cannot matter).  The shortfall against
+/// the generator's schedule becomes the censored mass — an op that
+/// arrived but never completed is accounted above every latency bucket,
+/// never dropped and never a ~0 sample.
 template <typename Client>
 void collect_workload(const workload::Generator& gen,
-                      const std::vector<std::unique_ptr<Client>>& clients,
+                      const std::vector<Client>& clients,
                       ScenarioRunResult& result) {
   for (const auto& client : clients) {
-    result.op_latency.merge_from(client->latency());
-    result.ops_issued += client->issued();
-    result.ops_completed += client->completed();
+    result.ops_issued += client.issued();
+    result.ops_completed += client.completed();
   }
   const std::uint64_t target =
       gen.ops_per_process() * static_cast<std::uint64_t>(clients.size());
@@ -349,15 +352,16 @@ ScenarioRunResult run_on_threads(const EngineConfig& config) {
     if (config.multicast != nullptr) proc->use_multicast(*config.multicast);
   }
 
-  std::vector<std::unique_ptr<ThreadedClient>> clients;
-  std::vector<std::unique_ptr<ThreadedWorkloadClient>> wclients;
+  // Reserved up front: completion callbacks hold client addresses.
+  std::vector<ThreadedClient> clients;
+  std::vector<ThreadedWorkloadClient> wclients;
+  clients.reserve(gen ? 0 : processes.size());
+  wclients.reserve(gen ? processes.size() : 0);
   for (std::size_t p = 0; p < processes.size(); ++p) {
     if (gen) {
-      wclients.push_back(
-          std::make_unique<ThreadedWorkloadClient>(*processes[p], *gen));
+      wclients.emplace_back(*processes[p], *gen);
     } else {
-      clients.push_back(
-          std::make_unique<ThreadedClient>(*processes[p], (*scripts)[p]));
+      clients.emplace_back(*processes[p], (*scripts)[p]);
     }
   }
 
@@ -365,10 +369,10 @@ ScenarioRunResult run_on_threads(const EngineConfig& config) {
   for (std::size_t p = 0; p < processes.size(); ++p) {
     if (gen) {
       rt.post(static_cast<ProcessId>(p),
-              [client = wclients[p].get()] { client->issue(); });
+              [client = &wclients[p]] { client->issue(); });
     } else {
       rt.post(static_cast<ProcessId>(p),
-              [client = clients[p].get()] { client->issue(); });
+              [client = &clients[p]] { client->issue(); });
     }
   }
   const bool quiet = rt.await_quiescence(config.quiesce_timeout);
@@ -376,16 +380,22 @@ ScenarioRunResult run_on_threads(const EngineConfig& config) {
   rt.stop();
 
   for (const auto& client : clients) {
-    PARDSM_CHECK(client->done(), "threaded client did not finish its script");
+    PARDSM_CHECK(client.done(), "threaded client did not finish its script");
   }
   for (const auto& client : wclients) {
-    PARDSM_CHECK(client->done(),
+    PARDSM_CHECK(client.done(),
                  "threaded client did not finish its workload");
   }
 
   ScenarioRunResult result;
   collect_common(recorder, rt.stats(), processes, dist.var_count, result);
-  if (gen) collect_workload(*gen, wclients, result);
+  if (gen) {
+    // Clients run concurrently, one histogram each.
+    for (const auto& client : wclients) {
+      result.op_latency.merge_from(client.latency());
+    }
+    collect_workload(*gen, wclients, result);
+  }
   if (batch) result.batching = batch->stats();
   return result;
 }
@@ -557,15 +567,16 @@ ScenarioRunResult run_on_sockets(const EngineConfig& config) {
     if (config.multicast != nullptr) proc->use_multicast(*config.multicast);
   }
 
-  std::vector<std::unique_ptr<SocketClient>> clients;
-  std::vector<std::unique_ptr<SocketWorkloadClient>> wclients;
+  // Reserved up front: completion callbacks hold client addresses.
+  std::vector<SocketClient> clients;
+  std::vector<SocketWorkloadClient> wclients;
+  clients.reserve(gen ? 0 : processes.size());
+  wclients.reserve(gen ? processes.size() : 0);
   for (std::size_t p = 0; p < processes.size(); ++p) {
     if (gen) {
-      wclients.push_back(
-          std::make_unique<SocketWorkloadClient>(*processes[p], *gen));
+      wclients.emplace_back(*processes[p], *gen);
     } else {
-      clients.push_back(
-          std::make_unique<SocketClient>(*processes[p], (*scripts)[p]));
+      clients.emplace_back(*processes[p], (*scripts)[p]);
     }
   }
 
@@ -619,9 +630,9 @@ ScenarioRunResult run_on_sockets(const EngineConfig& config) {
           st.post(e.a, [&, p = static_cast<std::size_t>(e.a)] {
             processes[p]->recover();
             if (!wclients.empty()) {
-              wclients[p]->resume();
+              wclients[p].resume();
             } else {
-              clients[p]->resume();
+              clients[p].resume();
             }
           });
           break;
@@ -659,10 +670,10 @@ ScenarioRunResult run_on_sockets(const EngineConfig& config) {
   for (std::size_t p = 0; p < processes.size(); ++p) {
     if (gen) {
       st.post(static_cast<ProcessId>(p),
-              [client = wclients[p].get()] { client->issue(); });
+              [client = &wclients[p]] { client->issue(); });
     } else {
       st.post(static_cast<ProcessId>(p),
-              [client = clients[p].get()] { client->issue(); });
+              [client = &clients[p]] { client->issue(); });
     }
   }
 
@@ -675,15 +686,21 @@ ScenarioRunResult run_on_sockets(const EngineConfig& config) {
 
   std::size_t unfinished = 0;
   for (const auto& client : clients) {
-    if (!client->done()) ++unfinished;
+    if (!client.done()) ++unfinished;
   }
   for (const auto& client : wclients) {
-    if (!client->done()) ++unfinished;
+    if (!client.done()) ++unfinished;
   }
 
   ScenarioRunResult result;
   collect_common(recorder, st.stats(), processes, dist.var_count, result);
-  if (gen) collect_workload(*gen, wclients, result);
+  if (gen) {
+    // Clients run concurrently, one histogram each.
+    for (const auto& client : wclients) {
+      result.op_latency.merge_from(client.latency());
+    }
+    collect_workload(*gen, wclients, result);
+  }
   result.finished_at = st.now();
   result.used_reliable_transport = reliable;
   result.retransmissions = rel ? rel->retransmissions() : 0;
@@ -769,13 +786,15 @@ class ParallelScriptedClient {
 /// WorkloadClient's twin for the parallel engine: identical open/closed
 /// loop and stall semantics, every closure scheduled with its owning
 /// process so it lands on the right shard with a canonical ordering
-/// slot.  The per-client histogram is only ever touched on the owner's
-/// shard; the engine merges them after the run (order-independent).
+/// slot.  It records into its owner shard's histogram, which only that
+/// shard's worker touches; the engine merges the shards' histograms
+/// after the run (order-independent).
 class ParallelWorkloadClient {
  public:
   ParallelWorkloadClient(McsProcess& process, ParallelSimulator& sim,
-                         const workload::Generator& gen)
-      : process_(process), sim_(sim), gen_(gen) {}
+                         const workload::Generator& gen,
+                         LatencyHistogram& latency)
+      : process_(process), sim_(sim), gen_(gen), latency_(latency) {}
 
   void start(TimePoint start) {
     start_ = start;
@@ -802,7 +821,6 @@ class ParallelWorkloadClient {
   [[nodiscard]] std::uint64_t issued() const { return issued_; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
   [[nodiscard]] std::uint64_t reads_digest() const { return reads_digest_; }
-  [[nodiscard]] const LatencyHistogram& latency() const { return latency_; }
 
  private:
   void arrive() {
@@ -856,7 +874,7 @@ class ParallelWorkloadClient {
   std::uint64_t reads_digest_ = 0;
   bool outstanding_ = false;
   bool stalled_ = false;
-  LatencyHistogram latency_;
+  LatencyHistogram& latency_;
 };
 
 ScenarioRunResult run_on_parallel(EngineConfig& config) {
@@ -912,19 +930,23 @@ ScenarioRunResult run_on_parallel(EngineConfig& config) {
     if (config.multicast != nullptr) proc->use_multicast(*config.multicast);
   }
 
-  std::vector<std::unique_ptr<ParallelScriptedClient>> clients;
-  std::vector<std::unique_ptr<ParallelWorkloadClient>> wclients;
+  sim.freeze();  // fixes the shard assignment the clients record under
+  std::vector<LatencyHistogram> shard_latency(gen ? sim.shard_count() : 0);
+  // Reserved up front: scheduled closures hold client addresses.
+  std::vector<ParallelScriptedClient> clients;
+  std::vector<ParallelWorkloadClient> wclients;
+  clients.reserve(gen ? 0 : processes.size());
+  wclients.reserve(gen ? processes.size() : 0);
   for (std::size_t p = 0; p < processes.size(); ++p) {
     if (gen) {
-      wclients.push_back(std::make_unique<ParallelWorkloadClient>(
-          *processes[p], sim, *gen));
+      const auto shard = static_cast<std::size_t>(
+          sim.shard_of(static_cast<ProcessId>(p)));
+      wclients.emplace_back(*processes[p], sim, *gen, shard_latency[shard]);
     } else {
-      clients.push_back(std::make_unique<ParallelScriptedClient>(
-          *processes[p], sim, (*scripts)[p]));
+      clients.emplace_back(*processes[p], sim, (*scripts)[p]);
     }
   }
 
-  sim.freeze();
   if (config.scenario != nullptr) {
     ScenarioHooks hooks;
     hooks.on_crash = [&processes](ProcessId p, TimePoint) {
@@ -934,29 +956,34 @@ ScenarioRunResult run_on_parallel(EngineConfig& config) {
                                                          TimePoint at) {
       processes[static_cast<std::size_t>(p)]->recover();
       if (!wclients.empty()) {
-        wclients[static_cast<std::size_t>(p)]->resume(at);
+        wclients[static_cast<std::size_t>(p)].resume(at);
       } else {
-        clients[static_cast<std::size_t>(p)]->resume(at);
+        clients[static_cast<std::size_t>(p)].resume(at);
       }
     };
-    config.scenario->apply(sim, hooks);
+    config.scenario->apply(sim, std::move(hooks));
   }
 
-  for (auto& client : clients) client->start(kTimeZero);
-  for (auto& client : wclients) client->start(kTimeZero);
+  for (auto& client : clients) client.start(kTimeZero);
+  for (auto& client : wclients) client.start(kTimeZero);
   sim.run();
 
   std::size_t unfinished = 0;
   for (const auto& client : clients) {
-    if (!client->done()) ++unfinished;
+    if (!client.done()) ++unfinished;
   }
   for (const auto& client : wclients) {
-    if (!client->done()) ++unfinished;
+    if (!client.done()) ++unfinished;
   }
 
   ScenarioRunResult result;
   collect_common(recorder, sim.stats(), processes, dist.var_count, result);
-  if (gen) collect_workload(*gen, wclients, result);
+  if (gen) {
+    for (const LatencyHistogram& shard : shard_latency) {
+      result.op_latency.merge_from(shard);
+    }
+    collect_workload(*gen, wclients, result);
+  }
   result.finished_at = sim.now();
   result.events = sim.events_fired();
 
@@ -1030,15 +1057,19 @@ ScenarioRunResult run_on_simulator(EngineConfig& config) {
     if (config.multicast != nullptr) proc->use_multicast(*config.multicast);
   }
 
-  std::vector<std::unique_ptr<ScriptedClient>> clients;
-  std::vector<std::unique_ptr<WorkloadClient>> wclients;
+  // The clients never run concurrently, so every workload client records
+  // straight into the result's histogram.  Reserved up front: scheduled
+  // closures hold client addresses.
+  ScenarioRunResult result;
+  std::vector<ScriptedClient> clients;
+  std::vector<WorkloadClient> wclients;
+  clients.reserve(gen ? 0 : processes.size());
+  wclients.reserve(gen ? processes.size() : 0);
   for (std::size_t p = 0; p < processes.size(); ++p) {
     if (gen) {
-      wclients.push_back(
-          std::make_unique<WorkloadClient>(*processes[p], sim, *gen));
+      wclients.emplace_back(*processes[p], sim, *gen, result.op_latency);
     } else {
-      clients.push_back(std::make_unique<ScriptedClient>(*processes[p], sim,
-                                                         (*scripts)[p]));
+      clients.emplace_back(*processes[p], sim, (*scripts)[p]);
     }
   }
 
@@ -1055,27 +1086,26 @@ ScenarioRunResult run_on_simulator(EngineConfig& config) {
                                                          TimePoint at) {
       processes[static_cast<std::size_t>(p)]->recover();
       if (!wclients.empty()) {
-        wclients[static_cast<std::size_t>(p)]->resume(at);
+        wclients[static_cast<std::size_t>(p)].resume(at);
       } else {
-        clients[static_cast<std::size_t>(p)]->resume(at);
+        clients[static_cast<std::size_t>(p)].resume(at);
       }
     };
-    config.scenario->apply(sim, hooks);
+    config.scenario->apply(sim, std::move(hooks));
   }
 
-  for (auto& client : clients) client->start(kTimeZero);
-  for (auto& client : wclients) client->start(kTimeZero);
+  for (auto& client : clients) client.start(kTimeZero);
+  for (auto& client : wclients) client.start(kTimeZero);
   sim.run();
 
   std::size_t unfinished = 0;
   for (const auto& client : clients) {
-    if (!client->done()) ++unfinished;
+    if (!client.done()) ++unfinished;
   }
   for (const auto& client : wclients) {
-    if (!client->done()) ++unfinished;
+    if (!client.done()) ++unfinished;
   }
 
-  ScenarioRunResult result;
   collect_common(recorder, sim.stats(), processes, dist.var_count, result);
   if (gen) collect_workload(*gen, wclients, result);
   result.finished_at = sim.now();

@@ -97,8 +97,10 @@ class ScriptedClient {
 /// ScriptedClient's twin for generated workloads (EngineConfig::workload,
 /// simulator runtime): streams ops out of a workload::Generator instead
 /// of replaying a stored Script, so a million-op run holds no per-op
-/// state — the client is a fixed-size cursor (indices, a latency
-/// histogram, a digest of read results) no matter how long the stream is.
+/// state — the client is a fixed-size cursor (indices, a digest of read
+/// results) no matter how long the stream is.  Latencies go into a
+/// histogram the client borrows: the sequential root hands every client
+/// the run's one histogram (the clients never run concurrently).
 ///
 /// Closed loop (arrival_rate == 0): op k+1 is issued when op k completes,
 /// latency measured from the issue instant.  Open loop (positive rate):
@@ -111,7 +113,7 @@ class ScriptedClient {
 class WorkloadClient {
  public:
   WorkloadClient(McsProcess& process, Simulator& sim,
-                 const workload::Generator& gen);
+                 const workload::Generator& gen, LatencyHistogram& latency);
 
   /// Schedule the first arrival (open loop) or first issue (closed loop).
   void start(TimePoint start);
@@ -131,7 +133,6 @@ class WorkloadClient {
   /// Order-sensitive digest of every read result — O(1) memory stand-in
   /// for ScriptedClient's stored read vector.
   [[nodiscard]] std::uint64_t reads_digest() const { return reads_digest_; }
-  [[nodiscard]] const LatencyHistogram& latency() const { return latency_; }
 
  private:
   void arrive();
@@ -148,7 +149,7 @@ class WorkloadClient {
   std::uint64_t reads_digest_ = 0;
   bool outstanding_ = false;
   bool stalled_ = false;
-  LatencyHistogram latency_;
+  LatencyHistogram& latency_;
 };
 
 /// Final (value, provenance) copy of one replicated variable.
@@ -179,8 +180,9 @@ struct RunResult {
   std::size_t active_channel_pairs = 0;
   std::size_t channel_state_bytes = 0;
   /// Generated-workload runs only (EngineConfig::workload): the per-op
-  /// latency ledger, merged over every client (and thus every shard on
-  /// the parallel root).  ops_censored = ops that arrived per the
+  /// latency ledger over every client — recorded in place on the
+  /// sequential root, merged from one histogram per shard (parallel root)
+  /// or per client (thread and socket roots).  ops_censored = ops that arrived per the
   /// generator's schedule but never completed — dead channel or
   /// never-recovered crash; they sit in the histogram's censored mass,
   /// above every bucket, never as ~0 latencies (docs/WORKLOADS.md).

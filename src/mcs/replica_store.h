@@ -39,7 +39,7 @@ class ReplicaStore {
   void put(VarId x, Value value, WriteId source);
 
   /// Locally replicated variables (sorted).
-  [[nodiscard]] std::vector<VarId> vars() const { return vars_; }
+  [[nodiscard]] const std::vector<VarId>& vars() const { return vars_; }
 
   /// Number of applied puts (diagnostics).
   [[nodiscard]] std::uint64_t version() const { return version_; }

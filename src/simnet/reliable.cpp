@@ -1,9 +1,9 @@
 #include "simnet/reliable.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "simnet/check.h"
+#include "simnet/pair_map.h"
 #include "simnet/rng.h"
 #include "simnet/wire.h"
 
@@ -77,6 +77,12 @@ const KindId kAckKind("ARQ:ACK");
 
 /// Per-process shim: the simulator endpoint that hides the ARQ machinery
 /// from the real application endpoint.
+///
+/// Per-peer channel state lives in one flat record per peer this process
+/// has exchanged frames with (sparse: O(active pairs), never n per shim),
+/// found through a hash index and scanned in ascending ProcessId order by
+/// the retransmit timers — the order the legacy timer's loss draws
+/// follow.
 class ReliableTransport::Shim final : public Endpoint {
  public:
   Shim(ReliableTransport& owner, Endpoint* app, ProcessId self)
@@ -88,7 +94,7 @@ class ReliableTransport::Shim final : public Endpoint {
 
   // ---- sending side -------------------------------------------------------
   void send_app(ProcessId to, BodyRef body, MessageMeta meta) {
-    auto& out = outgoing_[to];
+    Outgoing& out = peers_[slot(to)].out;
     if (out.dead) {
       ++dead_drops_;
       return;
@@ -100,14 +106,13 @@ class ReliableTransport::Shim final : public Endpoint {
     frame->payload_meta = meta;
     frame->wrapped_kind = arq_wrapped(meta.kind);
 
-    Pending& pending = out.unacked[seq];
-    pending.frame = BodyRef::adopt(frame);
-    transmit(to, pending.frame);
+    const BodyRef& pending = out.unacked.push(seq, BodyRef::adopt(frame));
+    transmit(to, pending);
     if (owner_.adaptive_) {
       if (out.unacked.size() == 1) {
         // First pending frame on this channel: (re)base the schedule.
         out.interval = owner_.options_.retransmit_after;
-        out.next_fire = owner_.lower_.now() + jittered(to, out.interval);
+        out.next_fire = owner_.lower_.now() + jittered(to, out);
         arm_until(out.next_fire);
       }
     } else {
@@ -119,20 +124,21 @@ class ReliableTransport::Shim final : public Endpoint {
     const auto* f = static_cast<const DataFrame*>(frame.get());
     MessageMeta meta = f->payload_meta;
     meta.kind = f->wrapped_kind;
-    meta.control_bytes += 16;  // seq + ack piggyback space
+    // Sequence number plus an ack field this layer never fills: every
+    // DATA frame is still acknowledged by its own ACK frame.
+    meta.control_bytes += 16;
     owner_.lower_.send(self_, to, frame, std::move(meta));
   }
 
   // ---- receiving side -------------------------------------------------------
   void on_message(const Message& m) override {
     if (const auto* ack = m.try_as<AckFrame>()) {
-      auto& out = outgoing_[m.from];
-      for (auto it = out.unacked.begin();
-           it != out.unacked.end() && it->first <= ack->cumulative;) {
-        it = out.unacked.erase(it);
+      if (const std::uint32_t* s = slot_of_.find(key(m.from))) {
+        Outgoing& out = peers_[*s].out;
+        out.unacked.ack(ack->cumulative);
+        // Progress resets the backoff: the channel is alive again.
+        if (out.unacked.empty()) out.interval = Duration{};
       }
-      // Progress resets the backoff: the channel is alive again.
-      if (out.unacked.empty()) out.interval = Duration{};
       return;
     }
     const auto* frame = m.try_as<DataFrame>();
@@ -141,30 +147,37 @@ class ReliableTransport::Shim final : public Endpoint {
       app_->on_message(m);
       return;
     }
-    auto& in = incoming_[m.from];
-    if (frame->seq > in.delivered) {
-      in.pending.emplace(frame->seq, m.body);
-      // Deliver any in-sequence prefix exactly once.
-      while (!in.pending.empty() &&
-             in.pending.begin()->first == in.delivered + 1) {
-        const auto& next = *static_cast<const DataFrame*>(
-            in.pending.begin()->second.get());
-        Message app_msg;
-        app_msg.from = m.from;
-        app_msg.to = self_;
-        app_msg.body = next.payload;
-        app_msg.meta = next.payload_meta;
-        app_msg.id = m.id;
-        app_msg.send_time = m.send_time;
-        app_msg.deliver_time = m.deliver_time;
+    // The application may send to a peer it never contacted before, which
+    // grows peers_, so the record is re-indexed after every delivery.
+    const std::uint32_t s = slot(m.from);
+    if (frame->seq == peers_[s].in.delivered + 1) {
+      ++peers_[s].in.delivered;
+      app_->on_message(app_message(m, *frame));
+      // Deliver the early frames this one was holding back, exactly once.
+      for (;;) {
+        Incoming& in = peers_[s].in;
+        if (in.early.empty() || in.early.front().first != in.delivered + 1) {
+          break;
+        }
+        const Message app_msg = app_message(
+            m, *static_cast<const DataFrame*>(in.early.front().second.get()));
+        in.early.erase(in.early.begin());
         ++in.delivered;
-        in.pending.erase(in.pending.begin());
         app_->on_message(app_msg);
+      }
+    } else if (frame->seq > peers_[s].in.delivered) {
+      // Early: hold it until the gap fills (a duplicate is held once).
+      auto& early = peers_[s].in.early;
+      const auto it = std::lower_bound(
+          early.begin(), early.end(), frame->seq,
+          [](const auto& e, std::uint64_t seq) { return e.first < seq; });
+      if (it == early.end() || it->first != frame->seq) {
+        early.emplace(it, frame->seq, m.body);
       }
     }
     // Cumulative ack (also for duplicates — the original ack may be lost).
     AckFrame* ack = ack_pool_->create();
-    ack->cumulative = in.delivered;
+    ack->cumulative = peers_[s].in.delivered;
     MessageMeta ack_meta;
     ack_meta.kind = kAckKind;
     ack_meta.control_bytes = 8;
@@ -183,8 +196,8 @@ class ReliableTransport::Shim final : public Endpoint {
     }
     timer_armed_ = false;
     bool anything_pending = false;
-    for (auto& [to, out] : outgoing_) {
-      if (retransmit_all(to, out)) anything_pending = true;
+    for (const std::uint32_t s : ascending()) {
+      if (retransmit_all(peers_[s].id, peers_[s].out)) anything_pending = true;
     }
     if (anything_pending) arm_timer();
   }
@@ -198,16 +211,71 @@ class ReliableTransport::Shim final : public Endpoint {
   }
 
  private:
-  /// An unacked frame plus its retransmit count (acking erases both, so
+  /// An unacked frame plus its retransmit count (acking drops both, so
   /// the counter's lifetime is exactly the frame's).  The frame is never
   /// mutated after construction, so a plain owning ref suffices.
   struct Pending {
     BodyRef frame;  ///< always a DataFrame
     std::uint32_t retries = 0;
   };
+
+  /// The unacked frames of one channel, oldest first.  Sequence numbers
+  /// are consecutive and acks cumulative, so the window is a contiguous
+  /// FIFO — frame `seq` sits at index seq - front_seq_ past head_ — and
+  /// only its front is ever erased.
+  class Window {
+   public:
+    [[nodiscard]] bool empty() const { return head_ == frames_.size(); }
+    [[nodiscard]] std::size_t size() const { return frames_.size() - head_; }
+    [[nodiscard]] Pending* begin() { return frames_.data() + head_; }
+    [[nodiscard]] Pending* end() { return frames_.data() + frames_.size(); }
+
+    /// Append frame `seq` (the channel's next sequence number).
+    const BodyRef& push(std::uint64_t seq, BodyRef frame) {
+      if (empty()) {
+        clear();
+        front_seq_ = seq;
+      }
+      PARDSM_CHECK(seq == front_seq_ + size(), "ARQ window out of sequence");
+      frames_.push_back({std::move(frame), 0});
+      return frames_.back().frame;
+    }
+
+    /// Release every frame with seq <= cumulative.
+    void ack(std::uint64_t cumulative) {
+      if (empty() || cumulative < front_seq_) return;
+      const std::size_t acked =
+          std::min<std::uint64_t>(size(), cumulative - front_seq_ + 1);
+      for (std::size_t i = head_; i < head_ + acked; ++i) {
+        frames_[i].frame.reset();
+      }
+      head_ += acked;
+      front_seq_ += acked;
+      if (empty()) {
+        clear();
+      } else if (head_ > frames_.size() / 2) {
+        // Compact: the live tail is shorter than the released prefix, so
+        // each frame moves O(1) times on average.
+        frames_.erase(frames_.begin(),
+                      frames_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+    void clear() {
+      frames_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<Pending> frames_;  ///< [head_, end) are unacked
+    std::size_t head_ = 0;
+    std::uint64_t front_seq_ = 0;  ///< seq of frames_[head_]
+  };
+
   struct Outgoing {
     std::uint64_t next_seq = 0;
-    std::map<std::uint64_t, Pending> unacked;
+    Window unacked;
     // Backoff-scheduler state (unused by the legacy fixed-period path).
     Duration interval{};    ///< current retransmit interval
     TimePoint next_fire{};  ///< next scheduled retransmission round
@@ -216,13 +284,61 @@ class ReliableTransport::Shim final : public Endpoint {
   };
   struct Incoming {
     std::uint64_t delivered = 0;
-    std::map<std::uint64_t, BodyRef> pending;  ///< out-of-order DataFrames
+    /// DataFrames that arrived ahead of a gap: ascending seq, each once.
+    std::vector<std::pair<std::uint64_t, BodyRef>> early;
   };
+  /// Both directions of the channel pair between self_ and one peer.
+  struct Peer {
+    ProcessId id = kNoProcess;
+    Outgoing out;
+    Incoming in;
+  };
+
+  [[nodiscard]] static std::uint64_t key(ProcessId peer) {
+    return static_cast<std::uint64_t>(peer);
+  }
+
+  /// Index of `peer`'s record in peers_, created on first contact.
+  std::uint32_t slot(ProcessId peer) {
+    if (const std::uint32_t* s = slot_of_.find(key(peer))) return *s;
+    const auto s = static_cast<std::uint32_t>(peers_.size());
+    if (!peers_.empty() && peer < peers_[by_id_.back()].id) sorted_ = false;
+    peers_.emplace_back().id = peer;
+    slot_of_.get_or_insert(key(peer), s);
+    by_id_.push_back(s);
+    return s;
+  }
+
+  /// Peer records in ascending ProcessId order (sorted lazily: a new peer
+  /// usually arrives in order, and timers fire far less often than sends).
+  const std::vector<std::uint32_t>& ascending() {
+    if (!sorted_) {
+      std::sort(by_id_.begin(), by_id_.end(),
+                [this](std::uint32_t a, std::uint32_t b) {
+                  return peers_[a].id < peers_[b].id;
+                });
+      sorted_ = true;
+    }
+    return by_id_;
+  }
+
+  /// The application's view of DataFrame `f` carried by `m`.
+  Message app_message(const Message& m, const DataFrame& f) const {
+    Message app_msg;
+    app_msg.from = m.from;
+    app_msg.to = self_;
+    app_msg.body = f.payload;
+    app_msg.meta = f.payload_meta;
+    app_msg.id = m.id;
+    app_msg.send_time = m.send_time;
+    app_msg.deliver_time = m.deliver_time;
+    return app_msg;
+  }
 
   /// Retransmit every pending frame to `to`; returns true if frames remain
   /// pending afterwards (false also when the channel just died).
   bool retransmit_all(ProcessId to, Outgoing& out) {
-    for (auto& [seq, pending] : out.unacked) {
+    for (Pending& pending : out.unacked) {
       if (++pending.retries > owner_.options_.max_retransmits) {
         give_up(to, out);
         return false;
@@ -254,17 +370,18 @@ class ReliableTransport::Shim final : public Endpoint {
 
   // ---- per-destination backoff scheduler ----------------------------------
 
-  /// Scale `interval` by a deterministic jitter factor in
+  /// Scale `out.interval` by a deterministic jitter factor in
   /// [1 - jitter, 1 + jitter].  The draw is keyed on logical coordinates
   /// (seed, sender, destination, draw index), so it does not depend on the
   /// interleaving of timers across destinations or processes.
-  Duration jittered(ProcessId to, Duration interval) {
+  Duration jittered(ProcessId to, Outgoing& out) const {
+    const Duration interval = out.interval;
     const double j = owner_.options_.jitter;
     if (j <= 0.0) return interval;
     Rng rng = counter_rng(owner_.options_.jitter_seed,
                           static_cast<std::uint64_t>(self_),
                           static_cast<std::uint64_t>(to),
-                          outgoing_[to].jitter_draws++, kJitterStreamTag);
+                          out.jitter_draws++, kJitterStreamTag);
     const double factor = 1.0 + j * (2.0 * rng.uniform01() - 1.0);
     const auto us = static_cast<std::int64_t>(
         static_cast<double>(interval.us) * factor);
@@ -294,7 +411,9 @@ class ReliableTransport::Shim final : public Endpoint {
     const TimePoint t = owner_.lower_.now();
     bool have_next = false;
     TimePoint next{};
-    for (auto& [to, out] : outgoing_) {
+    for (const std::uint32_t s : ascending()) {
+      const ProcessId to = peers_[s].id;
+      Outgoing& out = peers_[s].out;
       if (out.dead || out.unacked.empty()) continue;
       if (out.next_fire.us <= t.us) {
         if (!retransmit_all(to, out)) continue;  // acked empty or died
@@ -303,7 +422,7 @@ class ReliableTransport::Shim final : public Endpoint {
             static_cast<double>(out.interval.us) * f);
         out.interval =
             Duration{std::min<std::int64_t>(grown, interval_cap().us)};
-        out.next_fire = t + jittered(to, out.interval);
+        out.next_fire = t + jittered(to, out);
       }
       if (!have_next || out.next_fire.us < next.us) {
         have_next = true;
@@ -318,8 +437,10 @@ class ReliableTransport::Shim final : public Endpoint {
   ProcessId self_;
   BodyPool<DataFrame>* data_pool_;
   BodyPool<AckFrame>* ack_pool_;
-  std::map<ProcessId, Outgoing> outgoing_;
-  std::map<ProcessId, Incoming> incoming_;
+  std::vector<Peer> peers_;             ///< first-contact order
+  PairMap<std::uint32_t> slot_of_;      ///< peer id → index into peers_
+  std::vector<std::uint32_t> by_id_;    ///< peers_ indices, see ascending()
+  bool sorted_ = true;                  ///< by_id_ is in ascending id order
   std::uint64_t retransmissions_ = 0;
   std::uint64_t dead_drops_ = 0;
   std::vector<ProcessId> dead_targets_;

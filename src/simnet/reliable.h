@@ -15,13 +15,14 @@
 //   ProcessId id = rel.add_endpoint(&proc);    // instead of sim.add_...
 //   proc.attach(rel);
 //
-// Overhead accounting: DATA frames add 16 control bytes (seq + ack), ACK
-// frames cost 24 bytes total; both are charged to the real NetworkStats,
-// so loss-recovery traffic shows up in every efficiency measurement.
+// Overhead accounting: DATA frames add 16 control bytes (a sequence
+// number and an ack field that is never filled in), and every DATA frame
+// is still answered by its own ACK frame of 24 bytes total; both are
+// charged to the real NetworkStats, so loss-recovery traffic shows up in
+// every efficiency measurement.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -37,10 +38,12 @@ namespace pardsm {
 /// efficiency measurement):
 ///
 ///   * DATA frame: the wrapped message's own meta plus 16 control bytes
-///     (sequence number + ack piggyback space); `vars_mentioned` passes
-///     through unchanged, so exposure accounting (the paper's x-relevance)
-///     covers ARQ traffic too.
+///     (sequence number + an ack field the layer never fills: acks do
+///     not piggyback on DATA frames); `vars_mentioned` passes through
+///     unchanged, so exposure accounting (the paper's x-relevance) covers
+///     ARQ traffic too.
 ///   * ACK frame: 24 wire bytes (8 control + 16 header), no variables.
+///     One is sent for every DATA frame received, duplicates included.
 ///   * Retransmission: the full DATA frame is re-charged on every attempt
 ///     (on_send fires again), and a duplicated delivery is re-counted by
 ///     on_deliver — received <= sent stays invariant under loss only.

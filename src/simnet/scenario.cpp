@@ -229,13 +229,16 @@ void Scenario::apply(Simulator& sim, ScenarioHooks hooks) const {
   }
   // Structural events, in timeline order independent of builder call
   // order: by time, closing edges before opening edges at equal times,
-  // builder order as the tie break (stable sort).
+  // builder order as the tie break (stable sort).  The scheduled events
+  // share one copy of the hooks.
+  const auto shared = std::make_shared<const ScenarioHooks>(std::move(hooks));
   for (const FaultEvent* ep : ordered_events()) {
     const FaultEvent& e = *ep;
     if (e.at <= sim.now()) {
-      fire(e, net, hooks);
+      fire(e, net, *shared);
     } else {
-      sim.schedule_at(e.at, [this, &net, hooks, &e] { fire(e, net, hooks); });
+      sim.schedule_at(e.at,
+                      [this, &net, shared, &e] { fire(e, net, *shared); });
     }
   }
 }
@@ -252,13 +255,14 @@ void Scenario::apply(ParallelSimulator& sim, ScenarioHooks hooks) const {
   // Structural events mutate shared fault state, so each becomes a
   // stop-the-world global: the coordinator fires it with every worker
   // parked, at its exact time (windows never span a global's instant).
+  const auto shared = std::make_shared<const ScenarioHooks>(std::move(hooks));
   for (const FaultEvent* ep : ordered_events()) {
     const FaultEvent& e = *ep;
     if (e.at <= sim.now()) {
-      fire(e, net, hooks);
+      fire(e, net, *shared);
     } else {
       sim.schedule_global(e.at,
-                          [this, &net, hooks, &e] { fire(e, net, hooks); });
+                          [this, &net, shared, &e] { fire(e, net, *shared); });
     }
   }
 }
