@@ -14,8 +14,11 @@
 #include <vector>
 
 #include "mcs/driver.h"
+#include "mcs/engine.h"
 #include "sharegraph/topologies.h"
+#include "simnet/latency_histogram.h"
 #include "simnet/scenario.h"
+#include "workload/generator.h"
 
 namespace pardsm::golden {
 
@@ -140,6 +143,111 @@ inline ScenarioMetrics measure_scenario(mcs::ProtocolKind kind) {
   out.dropped = r.drops.total();
   out.finished_us = r.finished_at.us;
   return out;
+}
+
+/// The reduced signature of one generated-workload run (the engine's
+/// streaming client, the path both repository benchmark workloads take).
+struct WorkloadMetrics {
+  std::uint64_t messages = 0;       ///< total msgs_sent
+  std::uint64_t bytes = 0;          ///< total wire bytes sent
+  std::uint64_t events = 0;         ///< simulator events fired
+  std::int64_t finished_us = 0;     ///< simulated quiescence time
+  std::uint64_t ops_completed = 0;
+  std::uint64_t ops_censored = 0;
+  std::uint64_t latency_samples = 0;  ///< op_latency.samples()
+  /// op_latency quantiles in µs; -1 when the rank is censored.
+  std::int64_t p50_us = 0;
+  std::int64_t p99_us = 0;
+  std::int64_t p999_us = 0;
+  std::uint64_t history_hash = 0;   ///< FNV-1a over every recorded op
+};
+
+/// The two loads of the workload gate.
+enum class GoldenLoad : std::uint8_t {
+  /// 24 ops per process, closed loop, zipf keys, lossless channel.
+  kClosedLossless,
+  /// 6 ops per process arriving at 200/s under the checked-faults
+  /// timeline: 5% loss, the halves split 5–20 ms, process 3 down 8–25 ms.
+  kOpenCheckedFaults,
+};
+
+inline const char* to_string(GoldenLoad load) {
+  return load == GoldenLoad::kClosedLossless ? "closed-lossless"
+                                             : "open-checked-faults";
+}
+
+inline std::int64_t quantile_us(const LatencyHistogram& h, double q) {
+  const auto answer = h.quantile(q);
+  return answer.censored ? -1 : static_cast<std::int64_t>(answer.us);
+}
+
+/// One generated-workload run on random_replication(8, 16, 3, 7), on the
+/// sequential root (threads == 0) or the parallel root at `threads`
+/// workers, history recorded.
+inline WorkloadMetrics measure_workload(mcs::ProtocolKind kind,
+                                        GoldenLoad load, unsigned threads) {
+  const auto dist = graph::topo::random_replication(8, 16, 3, 7);
+  workload::Spec spec;
+  spec.read_fraction = 0.5;
+  Scenario faults("checked-faults");
+  if (load == GoldenLoad::kClosedLossless) {
+    spec.ops_per_process = 24;
+    spec.keys = workload::KeyDist::kZipf;
+    spec.seed = 11;
+  } else {
+    spec.ops_per_process = 6;
+    spec.arrival_rate = 200.0;
+    spec.seed = 13;
+    faults.set_loss(0.05);
+    faults.partition({{0, 1, 2, 3}, {4, 5, 6, 7}}, after(millis(5)),
+                     after(millis(20)));
+    faults.crash(3, after(millis(8)), after(millis(25)));
+  }
+
+  mcs::EngineConfig config;
+  config.protocol = kind;
+  config.distribution = &dist;
+  config.workload = &spec;
+  config.sim_seed = spec.seed;
+  if (load == GoldenLoad::kOpenCheckedFaults) config.scenario = &faults;
+  if (threads > 0) {
+    config.runtime = mcs::EngineRuntime::kParallelSim;
+    config.parallel.num_threads = threads;
+  }
+  const auto r = mcs::run(std::move(config));
+
+  WorkloadMetrics out;
+  out.messages = r.total_traffic.msgs_sent;
+  out.bytes = r.total_traffic.wire_bytes_sent();
+  out.events = r.events;
+  out.finished_us = r.finished_at.us;
+  out.ops_completed = r.ops_completed;
+  out.ops_censored = r.ops_censored;
+  out.latency_samples = r.op_latency.samples();
+  out.p50_us = quantile_us(r.op_latency, 0.5);
+  out.p99_us = quantile_us(r.op_latency, 0.99);
+  out.p999_us = quantile_us(r.op_latency, 0.999);
+  out.history_hash = 1469598103934665603ULL;  // FNV offset basis
+  for (const auto& op : r.history.ops()) {
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.kind));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.proc));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.var));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.value));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.proc_seq));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.write_id.writer));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.write_id.seq));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.invoked.us));
+    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.responded.us));
+  }
+  return out;
+}
+
+/// The protocols of the workload gate: the four the checked-faults
+/// benchmark workload runs.
+inline std::vector<mcs::ProtocolKind> golden_workload_protocols() {
+  return {mcs::ProtocolKind::kPramPartial,
+          mcs::ProtocolKind::kCausalPartialAdHoc,
+          mcs::ProtocolKind::kCachePartial, mcs::ProtocolKind::kAtomicHome};
 }
 
 }  // namespace pardsm::golden

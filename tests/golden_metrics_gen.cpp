@@ -2,9 +2,9 @@
 //
 //   $ ./tests/golden_metrics_gen
 //
-// Paste the output over the kGolden array.  Only do this when a protocol's
-// message complexity *legitimately* changes (new protocol feature, new
-// accounting); for pure engine/performance work the table must stay
+// Paste the output over the kGolden, kGoldenScenario and kGoldenWorkload
+// arrays.  Only do this when a protocol's message complexity
+// *legitimately* changes (new protocol feature, new accounting); for pure engine/performance work the table must stay
 // byte-identical — that is the point of the gate.
 
 #include <cstdio>
@@ -41,6 +41,32 @@ int main() {
                 static_cast<unsigned long long>(m.retransmissions),
                 static_cast<unsigned long long>(m.dropped),
                 static_cast<long long>(m.finished_us));
+  }
+  std::printf(
+      "\n// workload gate (paste over kGoldenWorkload)\n"
+      "// generated by golden_metrics_gen — do not hand-edit\n");
+  for (auto load : {golden::GoldenLoad::kClosedLossless,
+                    golden::GoldenLoad::kOpenCheckedFaults}) {
+    for (unsigned threads : {0u, 2u}) {
+      for (auto kind : golden::golden_workload_protocols()) {
+        const auto m = golden::measure_workload(kind, load, threads);
+        std::printf(
+            "    {\"%s\", \"%s\", %uu, %lluull, %lluull, %lluull, %lld, "
+            "%lluull, %lluull, %lluull, %lld, %lld, %lld, %lluull},\n",
+            mcs::to_string(kind), golden::to_string(load), threads,
+            static_cast<unsigned long long>(m.messages),
+            static_cast<unsigned long long>(m.bytes),
+            static_cast<unsigned long long>(m.events),
+            static_cast<long long>(m.finished_us),
+            static_cast<unsigned long long>(m.ops_completed),
+            static_cast<unsigned long long>(m.ops_censored),
+            static_cast<unsigned long long>(m.latency_samples),
+            static_cast<long long>(m.p50_us),
+            static_cast<long long>(m.p99_us),
+            static_cast<long long>(m.p999_us),
+            static_cast<unsigned long long>(m.history_hash));
+      }
+    }
   }
   return 0;
 }

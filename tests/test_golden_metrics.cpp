@@ -90,6 +90,49 @@ constexpr GoldenScenarioRow kGoldenScenario[] = {
     {"processor-partial", 99ull, 6984ull, 4ull, 3ull, 86000},
 };
 
+struct GoldenWorkloadRow {
+  const char* protocol;
+  const char* load;
+  unsigned threads;  ///< 0 = sequential root, else parallel root workers
+  std::uint64_t messages;
+  std::uint64_t bytes;
+  std::uint64_t events;
+  std::int64_t finished_us;
+  std::uint64_t ops_completed;
+  std::uint64_t ops_censored;
+  std::uint64_t latency_samples;
+  std::int64_t p50_us;
+  std::int64_t p99_us;
+  std::int64_t p999_us;
+  std::uint64_t history_hash;
+};
+
+/// Generated-workload runs (golden::measure_workload): the streaming
+/// client both repository benchmark workloads drive, closed loop on a
+/// lossless channel and open loop at 200/s under the checked-faults
+/// timeline, on the sequential root and on the parallel root at 2
+/// threads.  This pins the client's issue order, latency capture and
+/// stall/resume handshake, not only the protocols' message complexity.
+constexpr GoldenWorkloadRow kGoldenWorkload[] = {
+    // generated by golden_metrics_gen — do not hand-edit
+    {"pram-partial", "closed-lossless", 0u, 196ull, 9408ull, 388ull, 1013, 192ull, 0ull, 192ull, 0, 0, 0, 11634636397976324918ull},
+    {"causal-partial-adhoc", "closed-lossless", 0u, 686ull, 824768ull, 878ull, 1015, 192ull, 0ull, 192ull, 0, 0, 0, 11634636397976324918ull},
+    {"cache-partial", "closed-lossless", 0u, 255ull, 17416ull, 447ull, 28000, 192ull, 0ull, 192ull, 0, 2002, 2002, 14345895329196235712ull},
+    {"atomic-home", "closed-lossless", 0u, 379ull, 17224ull, 571ull, 48001, 192ull, 0ull, 192ull, 2001, 2001, 2001, 12531219712046928703ull},
+    {"pram-partial", "closed-lossless", 2u, 196ull, 9408ull, 388ull, 1013, 192ull, 0ull, 192ull, 0, 0, 0, 15236054059449048250ull},
+    {"causal-partial-adhoc", "closed-lossless", 2u, 686ull, 824768ull, 878ull, 1015, 192ull, 0ull, 192ull, 0, 0, 0, 15236054059449048250ull},
+    {"cache-partial", "closed-lossless", 2u, 255ull, 17416ull, 447ull, 28000, 192ull, 0ull, 192ull, 0, 2002, 2002, 3589262629475767017ull},
+    {"atomic-home", "closed-lossless", 2u, 379ull, 17224ull, 571ull, 48002, 192ull, 0ull, 192ull, 2001, 2001, 2001, 17909828139148143264ull},
+    {"pram-partial", "open-checked-faults", 0u, 147ull, 7144ull, 200ull, 125000, 48ull, 0ull, 48ull, 0, 15000, 15000, 1910454803683830397ull},
+    {"causal-partial-adhoc", "open-checked-faults", 0u, 491ull, 322192ull, 493ull, 160000, 48ull, 0ull, 48ull, 0, 15000, 15000, 8955012179770351300ull},
+    {"cache-partial", "open-checked-faults", 0u, 168ull, 9520ull, 242ull, 122000, 48ull, 0ull, 48ull, 2015, 42000, 42000, 18317720527360805281ull},
+    {"atomic-home", "open-checked-faults", 0u, 236ull, 10752ull, 312ull, 165001, 48ull, 0ull, 48ull, 2015, 109001, 109001, 4829025690543674521ull},
+    {"pram-partial", "open-checked-faults", 2u, 145ull, 7168ull, 197ull, 165000, 48ull, 0ull, 48ull, 0, 15000, 15000, 4063416960595047549ull},
+    {"causal-partial-adhoc", "open-checked-faults", 2u, 500ull, 326008ull, 504ull, 135000, 48ull, 0ull, 48ull, 0, 15000, 15000, 8098412141501264705ull},
+    {"cache-partial", "open-checked-faults", 2u, 169ull, 9512ull, 242ull, 165000, 48ull, 0ull, 48ull, 2015, 82000, 82000, 6673811411253490664ull},
+    {"atomic-home", "open-checked-faults", 2u, 248ull, 11208ull, 320ull, 165000, 48ull, 0ull, 48ull, 21503, 101000, 101000, 3830051355426510050ull},
+};
+
 TEST(GoldenMetrics, EveryProtocolEveryTopologyBitIdentical) {
   std::map<std::string, mcs::ProtocolKind> kinds;
   for (auto kind : mcs::all_protocols()) {
@@ -135,6 +178,41 @@ TEST(GoldenMetrics, CanonicalLossyPartitionScenarioBitIdentical) {
     ++checked;
   }
   EXPECT_EQ(checked, mcs::all_protocols().size());
+}
+
+TEST(GoldenMetrics, GeneratedWorkloadRunsBitIdentical) {
+  std::map<std::string, mcs::ProtocolKind> kinds;
+  for (auto kind : mcs::all_protocols()) {
+    kinds[mcs::to_string(kind)] = kind;
+  }
+  std::map<std::string, golden::GoldenLoad> loads;
+  for (auto load : {golden::GoldenLoad::kClosedLossless,
+                    golden::GoldenLoad::kOpenCheckedFaults}) {
+    loads[golden::to_string(load)] = load;
+  }
+  std::size_t checked = 0;
+  for (const auto& row : kGoldenWorkload) {
+    ASSERT_TRUE(kinds.count(row.protocol)) << row.protocol;
+    ASSERT_TRUE(loads.count(row.load)) << row.load;
+    const auto m = golden::measure_workload(kinds.at(row.protocol),
+                                            loads.at(row.load), row.threads);
+    SCOPED_TRACE(std::string(row.protocol) + " " + row.load + " threads=" +
+                 std::to_string(row.threads));
+    EXPECT_EQ(m.messages, row.messages);
+    EXPECT_EQ(m.bytes, row.bytes);
+    EXPECT_EQ(m.events, row.events);
+    EXPECT_EQ(m.finished_us, row.finished_us);
+    EXPECT_EQ(m.ops_completed, row.ops_completed);
+    EXPECT_EQ(m.ops_censored, row.ops_censored);
+    EXPECT_EQ(m.latency_samples, row.latency_samples);
+    EXPECT_EQ(m.p50_us, row.p50_us);
+    EXPECT_EQ(m.p99_us, row.p99_us);
+    EXPECT_EQ(m.p999_us, row.p999_us);
+    EXPECT_EQ(m.history_hash, row.history_hash);
+    ++checked;
+  }
+  // Four protocols x two loads x two roots.
+  EXPECT_EQ(checked, golden::golden_workload_protocols().size() * 2 * 2);
 }
 
 }  // namespace
