@@ -2,13 +2,13 @@
 # Tier-1 verify + quick bench sweep.  This is what CI runs and what a
 # contributor should run before pushing:
 #
-#   ./ci.sh                 # build + ctest + bench_all --quick
+#   ./ci.sh                 # -Werror build + ctest + bench_all --quick
 #   SANITIZE=1 ./ci.sh      # ASan+UBSan build + ctest (no bench sweep) —
 #                           # the ARQ retransmit path and crash/recovery
 #                           # teardown are exactly where lifetime bugs hide
 #   SANITIZE=tsan ./ci.sh   # ThreadSanitizer build + ctest — gates the
 #                           # parallel engine's worker threads and the
-#                           # std::thread runtime
+#                           # sockets root's mailbox threads
 #   SOCKETS_SMOKE=1 ./ci.sh # release build + socket-layer tests + real
 #                           # multi-process pardsm_node drills over
 #                           # loopback TCP, incl. a kill -9 / respawn /
@@ -86,7 +86,9 @@ elif [ "${LINT:-0}" != "0" ]; then
         -DPARDSM_BUILD_BENCHES=OFF -DPARDSM_BUILD_EXAMPLES=OFF \
         -DCMAKE_EXPORT_COMPILE_COMMANDS=ON "${CMAKE_EXTRA[@]}"
 else
-  cmake -B "$BUILD_DIR" -S . "${CMAKE_EXTRA[@]}"
+  # Warnings are errors here: the tree builds warning-clean under
+  # -Wall -Wextra and this job keeps it that way.
+  cmake -B "$BUILD_DIR" -S . -DPARDSM_WERROR=ON "${CMAKE_EXTRA[@]}"
 fi
 
 echo "== build =="

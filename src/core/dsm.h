@@ -12,8 +12,9 @@
 //   dsm.read_now(3, 0);           // wait-free local read
 //   auto h = dsm.history();       // exact recorded history
 //
-// The System owns a deterministic Simulator; for std::thread execution use
-// mcs::run_workload_threaded (the protocols are runtime-agnostic).
+// The System owns a deterministic Simulator; for preemptive execution run
+// the same protocols on mcs::EngineRuntime::kSockets (the protocols are
+// runtime-agnostic).
 #pragma once
 
 #include <functional>

@@ -121,19 +121,4 @@ ScenarioRunResult run_scenario_parallel(ProtocolKind kind,
   return run(std::move(config));
 }
 
-RunResult run_workload_threaded(ProtocolKind kind,
-                                const graph::Distribution& dist,
-                                const std::vector<Script>& scripts,
-                                std::chrono::milliseconds quiesce_timeout) {
-  EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.runtime = EngineRuntime::kThreads;
-  config.reliability = ReliabilityMode::kNever;
-  config.quiesce_timeout = quiesce_timeout;
-  ScenarioRunResult r = run(std::move(config));
-  return static_cast<RunResult&&>(std::move(r));
-}
-
 }  // namespace pardsm::mcs

@@ -1,9 +1,9 @@
 // Workload drivers: the classic entry points over the unified engine.
 //
 // Script generation (make_random_scripts / make_single_writer_scripts)
-// plus the three historical run functions.  All three are thin wrappers
-// over mcs::run (engine.h) — they fill in an EngineConfig and forward, so
-// every bench, test and example executes through the same code path.
+// plus the historical run functions, all thin wrappers over mcs::run
+// (engine.h) — they fill in an EngineConfig and forward, so every bench,
+// test and example executes through the same code path.
 // Benches that sweep transport parameters (batching windows, stacking
 // order) build an EngineConfig themselves.
 #pragma once
@@ -70,8 +70,8 @@ struct RunOptions {
 /// run_workload on the sharded parallel simulator: same raw-channel
 /// semantics (ReliabilityMode::kNever), executed by `threads` worker
 /// threads over share-graph-derived shards.  Deterministic per (config,
-/// seed) and — unlike the thread runtime — independent of the thread
-/// count itself; the differential suite pins that.
+/// seed) and independent of the thread count itself; the differential
+/// suite pins that.
 [[nodiscard]] RunResult run_workload_parallel(
     ProtocolKind kind, const graph::Distribution& dist,
     const std::vector<Script>& scripts, unsigned threads,
@@ -84,16 +84,5 @@ struct RunOptions {
     ProtocolKind kind, const graph::Distribution& dist,
     const std::vector<Script>& scripts, const Scenario& scenario,
     unsigned threads, RunOptions options = {});
-
-/// Execute the same shape of run on the std::thread runtime (one OS thread
-/// per MCS process, genuine preemptive parallelism).  Script think-times
-/// are ignored; executions are non-deterministic by design — the property
-/// tests assert that consistency holds regardless of interleaving.
-/// `quiesce_timeout` bounds the wait for the system to drain.
-[[nodiscard]] RunResult run_workload_threaded(
-    ProtocolKind kind, const graph::Distribution& dist,
-    const std::vector<Script>& scripts,
-    std::chrono::milliseconds quiesce_timeout = std::chrono::milliseconds(
-        10000));
 
 }  // namespace pardsm::mcs

@@ -4,14 +4,20 @@
 // the load (per-process scripts, or a generated streaming workload), the
 // transport stack (raw / ARQ / batching, in either stacking order), an
 // optional fault timeline and the runtime to execute on — and run()
-// executes it.  run_workload, run_scenario and run_workload_threaded
+// executes it.  run_workload, run_scenario and their *_parallel twins
 // (driver.h) are thin wrappers that fill in a config; benches and tests
 // that sweep transport parameters use run() directly.
 //
+// run() has one body for every root: it assembles the transport stack,
+// the recorder, the processes, one Client per process, the scenario hooks
+// and the result ledger.  A root contributes only its construction, how a
+// client's closure is scheduled for process p at time t, how it runs to
+// quiescence and its own counters.
+//
 // Transport stack assembled by run(), bottom-up:
 //
-//   Simulator | ThreadRuntime |
-//   ParallelSimulator | SocketTransport  (root HostTransport)
+//   Simulator | ParallelSimulator |
+//   SocketTransport                      (root HostTransport)
 //     └─ BatchingTransport               (placement kBelowReliable)
 //         └─ ReliableTransport           (when the run needs ARQ)
 //             └─ BatchingTransport       (placement kAboveReliable, default)
@@ -22,6 +28,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -58,98 +65,95 @@ struct ScriptOp {
 /// A per-process operation script.
 using Script = std::vector<ScriptOp>;
 
-/// Drives one McsProcess through its script (simulator runtime).
+/// Drives one McsProcess through its load, on any root.  The load is a
+/// stored Script (per-op think time, read results kept) or a
+/// workload::Generator stream: op(p, k) is computed on demand, so a
+/// million-op stream holds no per-op state — the client is a fixed-size
+/// cursor (indices, a digest of read results) and records each op's
+/// latency into a histogram it borrows (one per execution lane).
+///
+/// Closed loop (scripts, arrival_rate == 0): op k+1 is issued when op k
+/// completes, after op k+1's think time; latency is measured from the
+/// issue instant.  Open loop (positive rate): op k *arrives* at
+/// start + k/rate on the simulated clock regardless of system progress; at
+/// most one op is outstanding, the rest queue as a backlog counter, and
+/// latency is measured from the scheduled arrival, so head-of-line
+/// queueing behind a slow or crashed system is charged to the op rather
+/// than omitted.
 ///
 /// Crash-aware: the application is co-located with its MCS process, so
 /// while the process is down the client neither issues operations (an
-/// issue attempt stalls) nor loses its place in the script.  The scenario
-/// driver calls resume() from the recovery hook; an operation that was
-/// in flight at crash time simply completes late — its response is
-/// retransmitted by the ARQ layer — and the script continues from there.
-class ScriptedClient {
+/// issue attempt stalls) nor loses its place.  The scenario driver calls
+/// resume() from the recovery hook; an operation that was in flight at
+/// crash time simply completes late — its response is retransmitted by
+/// the ARQ layer — and the load continues from there.
+class Client {
  public:
-  ScriptedClient(McsProcess& process, Simulator& sim, Script script);
+  /// How the client reaches the root it runs on: run `fn` as process p's
+  /// task at time t.  Every issue goes through it, so the root's event
+  /// loop stays in control (and a continuation runs after the messages
+  /// the completed op just sent at t).  The sockets root posts `fn` to
+  /// p's mailbox and ignores t: think time is a simulated-clock notion.
+  using Schedule = std::function<void(ProcessId p, TimePoint t,
+                                      std::function<void()> fn)>;
 
-  /// Schedule the first operation at `start`.
-  void start(TimePoint start);
-
-  /// Re-issue the stalled operation after the process recovered (no-op if
-  /// the client was not stalled).
-  void resume(TimePoint at);
-
-  [[nodiscard]] bool done() const { return next_ >= script_.size(); }
-  [[nodiscard]] bool stalled() const { return stalled_; }
-  [[nodiscard]] const std::vector<Value>& read_results() const {
-    return reads_;
-  }
-
- private:
-  void issue();
-
-  McsProcess& process_;
-  Simulator& sim_;
-  Script script_;
-  std::size_t next_ = 0;
-  std::vector<Value> reads_;
-  bool stalled_ = false;
-};
-
-/// ScriptedClient's twin for generated workloads (EngineConfig::workload,
-/// simulator runtime): streams ops out of a workload::Generator instead
-/// of replaying a stored Script, so a million-op run holds no per-op
-/// state — the client is a fixed-size cursor (indices, a digest of read
-/// results) no matter how long the stream is.  Latencies go into a
-/// histogram the client borrows: the sequential root hands every client
-/// the run's one histogram (the clients never run concurrently).
-///
-/// Closed loop (arrival_rate == 0): op k+1 is issued when op k completes,
-/// latency measured from the issue instant.  Open loop (positive rate):
-/// op k *arrives* at start + k/rate on the simulated clock regardless of
-/// system progress; at most one op is outstanding per process, the rest
-/// queue as a backlog counter, and latency is measured from the scheduled
-/// arrival, so head-of-line queueing behind a slow (or crashed — the
-/// stall/resume handshake matches ScriptedClient) system is charged to
-/// the op rather than omitted.
-class WorkloadClient {
- public:
-  WorkloadClient(McsProcess& process, Simulator& sim,
-                 const workload::Generator& gen, LatencyHistogram& latency);
+  Client(McsProcess& process, Schedule schedule, Script script);
+  Client(McsProcess& process, Schedule schedule,
+         const workload::Generator& gen, LatencyHistogram& latency);
+  /// A scripted client on the sequential simulator (hand-wired rigs).
+  Client(McsProcess& process, Simulator& sim, Script script);
 
   /// Schedule the first arrival (open loop) or first issue (closed loop).
+  /// An empty script schedules nothing.
   void start(TimePoint start);
 
   /// Re-enter the issue loop after the process recovered (no-op if the
   /// client was not stalled).
   void resume(TimePoint at);
 
+  /// A script is done once its last op was issued (a lost completion on
+  /// a raw lossy channel is expected there); a stream once every op
+  /// completed (the shortfall is censored).
   [[nodiscard]] bool done() const {
-    return completed_ == gen_.ops_per_process();
+    return gen_ != nullptr ? completed_ == total() : issued_ == total();
   }
-  [[nodiscard]] bool stalled() const { return stalled_; }
   /// Ops handed to the protocol / completed so far.  At quiescence
   /// issued - completed is 0 or, with a dead channel, the censored op.
   [[nodiscard]] std::uint64_t issued() const { return issued_; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
-  /// Order-sensitive digest of every read result — O(1) memory stand-in
-  /// for ScriptedClient's stored read vector.
+  /// Every read result, in issue order (scripts only).
+  [[nodiscard]] const std::vector<Value>& read_results() const {
+    return reads_;
+  }
+  /// Order-sensitive digest of every read result (streams only) — the
+  /// O(1)-memory stand-in for read_results().
   [[nodiscard]] std::uint64_t reads_digest() const { return reads_digest_; }
 
  private:
+  [[nodiscard]] std::uint64_t total() const {
+    return gen_ != nullptr ? gen_->ops_per_process() : script_.size();
+  }
+  [[nodiscard]] Duration think_time(std::uint64_t k) const {
+    return gen_ != nullptr ? Duration{} : script_[k].delay;
+  }
   void arrive();
   void pump();
+  void issue(bool is_read, VarId x, Value v, TimePoint t0);
   void complete(TimePoint t0);
 
   McsProcess& process_;
-  Simulator& sim_;
-  const workload::Generator& gen_;
+  Schedule schedule_;
+  Script script_;
+  const workload::Generator* gen_ = nullptr;
+  LatencyHistogram* latency_ = nullptr;  ///< streams only
   TimePoint start_{};
   std::uint64_t arrivals_ = 0;  ///< ops arrived (== total in closed loop)
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t reads_digest_ = 0;
+  std::vector<Value> reads_;
   bool outstanding_ = false;
   bool stalled_ = false;
-  LatencyHistogram& latency_;
 };
 
 /// Final (value, provenance) copy of one replicated variable.
@@ -182,8 +186,8 @@ struct RunResult {
   /// Generated-workload runs only (EngineConfig::workload): the per-op
   /// latency ledger over every client — recorded in place on the
   /// sequential root, merged from one histogram per shard (parallel root)
-  /// or per client (thread and socket roots).  ops_censored = ops that arrived per the
-  /// generator's schedule but never completed — dead channel or
+  /// or per client (sockets root).  ops_censored = ops that arrived per
+  /// the generator's schedule but never completed — dead channel or
   /// never-recovered crash; they sit in the histogram's censored mass,
   /// above every bucket, never as ~0 latencies (docs/WORKLOADS.md).
   LatencyHistogram op_latency;
@@ -258,14 +262,13 @@ enum class BatchPlacement : std::uint8_t {
 /// Which runtime executes the run.
 enum class EngineRuntime : std::uint8_t {
   kSimulator,    ///< deterministic discrete-event simulator
-  kThreads,      ///< one OS thread per process (non-deterministic)
   kParallelSim,  ///< sharded deterministic simulator (worker threads)
-  /// Real TCP sockets over loopback, all endpoints in this OS process
-  /// (SocketTransport root; pardsm_node drives the multi-process shape).
-  /// Fault timelines replay on the wall clock — 1 simulated µs = 1 µs —
-  /// with loss/duplication windows mapped onto the socket layer's
-  /// deterministic chaos streams.  Message *timing* is as
-  /// non-deterministic as kThreads; fault draws are reproducible.
+  /// Real TCP sockets over loopback, all endpoints in this OS process,
+  /// each on its own mailbox thread (SocketTransport root; pardsm_node
+  /// drives the multi-process shape).  Fault timelines replay on the wall
+  /// clock — 1 simulated µs = 1 µs — with loss/duplication windows mapped
+  /// onto the socket layer's deterministic chaos streams.  Message
+  /// *timing* is non-deterministic; fault draws are reproducible.
   kSockets,
 };
 
@@ -313,22 +316,13 @@ struct EngineConfig {
   ReliabilityMode reliability = ReliabilityMode::kAuto;
   /// ARQ configuration (see kEngineReliableDefaults).
   ReliableOptions reliable = kEngineReliableDefaults;
-  /// Batching window 0 = no batching layer at all (unless forced below).
+  /// Batching window 0 = no batching layer at all.
   BatchingOptions batching;
   BatchPlacement batch_placement = BatchPlacement::kAboveReliable;
-  /// Construct the batching layer even at window 0 (the pass-through
-  /// regression in tests/test_transport_conformance.cpp pins that this is
-  /// bit-identical to no layer).
-  bool force_batching_layer = false;
-  /// Multicast expansion injected into every process (null = the default
-  /// point-to-point fanout).
-  MulticastService* multicast = nullptr;
-
-  // -- thread runtime -------------------------------------------------------
-  /// Bound on the wait for quiescence (kThreads and kSockets).
-  std::chrono::milliseconds quiesce_timeout{10000};
 
   // -- sockets runtime ------------------------------------------------------
+  /// Bound on the wait for quiescence.
+  std::chrono::milliseconds quiesce_timeout{10000};
   /// Socket-root knobs (heartbeats, backoff, chaos injection).  The engine
   /// always runs the all-local loopback shape: total_processes and
   /// local_ids are derived from the distribution and must be left alone.
@@ -336,10 +330,10 @@ struct EngineConfig {
 };
 
 /// Execute the configured run.  Deterministic per config on the simulator
-/// runtimes; timing is non-deterministic by design on kThreads and
-/// kSockets (the sockets root still replays fault timelines and runs the
-/// full transport stack — chaos and backoff draws are seeded, only the
-/// wall-clock interleaving varies; see docs/DEPLOYMENT.md).
+/// runtimes; timing is non-deterministic by design on kSockets (the
+/// sockets root still replays fault timelines and runs the full transport
+/// stack — chaos and backoff draws are seeded, only the wall-clock
+/// interleaving varies; see docs/DEPLOYMENT.md).
 [[nodiscard]] ScenarioRunResult run(EngineConfig config);
 
 }  // namespace pardsm::mcs

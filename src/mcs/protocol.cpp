@@ -77,31 +77,7 @@ const wire::BodyRegistrar resync_resp_codec(
 const KindId kResyncReqKind("RSYNC_REQ");
 const KindId kResyncRespKind("RSYNC_RESP");
 
-/// The default expansion: one point-to-point send per destination, in
-/// plan order, sharing the body and copying the meta — bit-identical to
-/// the per-destination send loops the protocols used to hand-write.
-class FanoutMulticast final : public MulticastService {
- public:
-  void submit(Transport& transport, ProcessId from,
-              SendPlan&& plan) override {
-    const std::size_t n = plan.to.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 == n) {
-        transport.send(from, plan.to[i], std::move(plan.body),
-                       std::move(plan.meta));
-      } else {
-        transport.send(from, plan.to[i], plan.body, plan.meta);
-      }
-    }
-  }
-};
-
 }  // namespace
-
-MulticastService& MulticastService::fanout() {
-  static FanoutMulticast instance;
-  return instance;
-}
 
 void McsProcess::on_message(const Message& m) {
   if (crashed_) {

@@ -9,7 +9,8 @@
 //
 // The asynchronous operation API is what lets the same protocol code run
 // under the single-threaded discrete-event simulator (where a blocking
-// call would deadlock the event loop) and under the thread runtime.
+// call would deadlock the event loop) and on the sockets root's mailbox
+// threads.
 #pragma once
 
 #include <algorithm>
@@ -108,10 +109,8 @@ class CliqueTable {
 
 /// One protocol send round: the same body to a set of destinations, with
 /// shared accounting metadata and an urgency hint.  This is what protocols
-/// emit instead of calling Transport::send per destination — the seam that
-/// preserves the multicast structure all the way to the transport plane
-/// (a batching layer coalesces, a future true-multicast network could
-/// fan out natively).
+/// emit instead of calling Transport::send per destination; emit()
+/// expands it into one point-to-point send per destination, in plan order.
 ///
 /// Protocols whose per-recipient metadata differs (causal-partial-naive's
 /// update/notify split, causal-partial-adhoc's per-recipient dependency
@@ -128,22 +127,6 @@ struct SendPlan {
   /// Completion-blocking traffic (RPCs, commits, re-sync): transports
   /// must forward it immediately rather than coalesce it.
   bool urgent = false;
-};
-
-/// How a SendPlan reaches the wire.  The default expansion is one
-/// point-to-point Transport::send per destination, in plan order — which
-/// keeps per-destination FIFO and is bit-identical to the historical
-/// per-destination send loops.  Implementations must preserve
-/// per-destination FIFO across successive submits from one sender.
-class MulticastService {
- public:
-  virtual ~MulticastService() = default;
-
-  virtual void submit(Transport& transport, ProcessId from,
-                      SendPlan&& plan) = 0;
-
-  /// The default stateless point-to-point expansion (shared instance).
-  [[nodiscard]] static MulticastService& fanout();
 };
 
 /// Base class of every memory-consistency protocol instance (one per
@@ -173,10 +156,6 @@ class McsProcess : public Endpoint {
     transport_ = &transport;
     on_attach();
   }
-
-  /// Replace the multicast expansion (the engine injects this; default is
-  /// MulticastService::fanout()).  Must outlive the process.
-  void use_multicast(MulticastService& service) { mcast_ = &service; }
 
   /// Asynchronous read of x; `done` receives the value.  Calling read on a
   /// variable outside X_i is a programming error (partial replication
@@ -316,12 +295,22 @@ class McsProcess : public Endpoint {
   [[nodiscard]] ReplicaStore& mutable_store() { return store_; }
   [[nodiscard]] ProtocolStats& mutable_stats() { return pstats_; }
 
-  /// Emit one send round through the multicast seam.  `plan.urgent` is
+  /// Emit one send round: one Transport::send per destination, in plan
+  /// order, sharing the body (the last destination takes it) and copying
+  /// the meta — which keeps per-destination FIFO.  `plan.urgent` is
   /// propagated into the per-message metadata so coalescing transports
   /// flush instead of delaying completion-blocking traffic.
   void emit(SendPlan&& plan) {
     plan.meta.urgent = plan.urgent;
-    mcast_->submit(transport(), self_, std::move(plan));
+    Transport& t = transport();
+    const std::size_t n = plan.to.size();
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      t.send(self_, plan.to[i], plan.body, plan.meta);
+    }
+    if (n > 0) {
+      t.send(self_, plan.to[n - 1], std::move(plan.body),
+             std::move(plan.meta));
+    }
   }
 
   /// Convenience: a single-destination plan (RPCs, replies, per-recipient
@@ -362,7 +351,6 @@ class McsProcess : public Endpoint {
   ReplicaStore store_;
   ProtocolStats pstats_;
   Transport* transport_ = nullptr;
-  MulticastService* mcast_ = &MulticastService::fanout();
   /// Shared (or lazily self-built) C(x) table; mutable for the lazy path.
   mutable std::shared_ptr<const CliqueTable> cliques_;
 

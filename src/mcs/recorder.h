@@ -3,7 +3,7 @@
 // Protocols report every application-level operation here; the recorder
 // assembles a hist::History with exact read-from provenance and real-time
 // intervals, which the test suite feeds to the exact consistency checkers.
-// Thread-safe (the thread runtime records from many threads).
+// Thread-safe (the sockets root records from many mailbox threads).
 //
 // Two assembly modes:
 //

@@ -36,9 +36,9 @@
 // Stacking: compose over the raw Simulator, over ReliableTransport
 // (frames become single ARQ DATA frames — fewer acks), or under it
 // (DATA/ACK frames coalesce; keep window << retransmit_after).  Under the
-// ThreadRuntime the per-sender state is only touched by the owning
-// process's thread (sends and flush timers both run there), so batching
-// is preemption-safe too.
+// sockets root the per-sender state is only touched by the owning
+// process's mailbox thread (sends and flush timers both run there), so
+// batching is preemption-safe too.
 #pragma once
 
 #include <cstdint>

@@ -17,8 +17,8 @@
 //   * BodyArena      — per-transport-root registry of pools, indexed by
 //                      BodyTypeId.  A serial arena (single-threaded
 //                      Simulator) skips both the freelist mutex and atomic
-//                      refcounts; a concurrent arena (ThreadRuntime,
-//                      SocketTransport, ParallelSimulator shards) locks the
+//                      refcounts; a concurrent arena (SocketTransport,
+//                      ParallelSimulator shards) locks the
 //                      freelist and stamps bodies for atomic refcounting.
 //   * body_type_id<T>() — process-wide dense tag (< 256) used both for
 //                      arena slots and for Message::as<T> tag dispatch.

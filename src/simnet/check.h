@@ -2,8 +2,8 @@
 //
 // Tests use gtest assertions; library code uses PARDSM_CHECK for conditions
 // that indicate a programming error by the caller or a broken internal
-// invariant.  Violations throw std::logic_error so both the simulator and
-// the thread runtime fail loudly and testably.
+// invariant.  Violations throw std::logic_error so the simulators and the
+// sockets root fail loudly and testably.
 #pragma once
 
 #include <sstream>

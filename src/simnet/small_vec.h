@@ -140,7 +140,11 @@ class SmallVec {
   void grow() {
     const auto new_capacity = next_capacity(capacity_);
     T* bigger = new T[new_capacity];
-    std::copy(data(), data() + size_, bigger);
+    // An element loop, not std::copy: GCC 12 folds std::copy into a
+    // memmove whose bounds it cannot see through the grow-from-inline
+    // path and reports -Wstringop-overflow / -Warray-bounds.
+    const T* from = data();
+    for (std::uint32_t i = 0; i < size_; ++i) bigger[i] = from[i];
     delete[] heap_;
     heap_ = bigger;
     capacity_ = new_capacity;

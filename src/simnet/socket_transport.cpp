@@ -204,6 +204,7 @@ void SocketTransport::start() {
 }
 
 void SocketTransport::stop() {
+  if (replay_.joinable()) replay_.join();
   if (!running_.exchange(false)) return;
 
   // Break the acceptor.
@@ -247,6 +248,7 @@ void SocketTransport::stop() {
 }
 
 bool SocketTransport::await_quiescence(std::chrono::milliseconds timeout) {
+  if (replay_.joinable()) replay_.join();
   std::unique_lock lock(quiesce_mu_);
   return quiesce_cv_.wait_for(lock, timeout,
                               [this] { return pending_.load() == 0; });
@@ -442,6 +444,88 @@ void SocketTransport::set_timer(ProcessId who, Duration delay, TimerTag tag) {
 
 std::size_t SocketTransport::process_count() const {
   return options_.total_processes;
+}
+
+void SocketTransport::replay(const Scenario& scenario, ScenarioHooks hooks) {
+  const std::size_t n = options_.total_processes;
+  PARDSM_CHECK(running_.load(), "replay: not started");
+  PARDSM_CHECK(local_ids_.size() == n,
+               "replay: fault timelines need the all-local shape");
+  PARDSM_CHECK(!replay_.joinable(), "replay: a timeline is already running");
+  PARDSM_CHECK(scenario.max_process() == kNoProcess ||
+                   static_cast<std::size_t>(scenario.max_process()) < n,
+               "scenario mentions a process outside the system");
+  replay_hooks_ = std::move(hooks);
+  replay_cuts_.assign(n * n, 0);
+  replay_instant(scenario, kTimeZero);
+  replay_ = std::thread([this, &scenario, edges = scenario.window_edges()] {
+    const auto epoch = steady_now();
+    for (TimePoint t : edges) {
+      if (t <= kTimeZero) continue;
+      std::this_thread::sleep_until(epoch + std::chrono::microseconds(t.us));
+      replay_instant(scenario, t);
+    }
+  });
+}
+
+void SocketTransport::replay_instant(const Scenario& scenario, TimePoint t) {
+  const std::size_t n = options_.total_processes;
+  for (const FaultEvent* ep : scenario.execution_order()) {
+    const FaultEvent& e = *ep;
+    if (e.at != t) continue;
+    switch (e.type) {
+      case FaultEvent::Type::kSever:
+      case FaultEvent::Type::kHeal: {
+        // Group id per process: listed processes get their group's
+        // index, everyone else a unique singleton id.
+        std::vector<std::size_t> gid(n);
+        std::size_t next = e.groups.size();
+        for (std::size_t p = 0; p < n; ++p) gid[p] = next++;
+        for (std::size_t g = 0; g < e.groups.size(); ++g) {
+          for (ProcessId p : e.groups[g]) {
+            gid[static_cast<std::size_t>(p)] = g;
+          }
+        }
+        const int delta = e.type == FaultEvent::Type::kSever ? 1 : -1;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            if (i == j || gid[i] == gid[j]) continue;
+            int& cuts = replay_cuts_[i * n + j];
+            cuts += delta;
+            set_severed(static_cast<ProcessId>(i), static_cast<ProcessId>(j),
+                        cuts > 0);
+          }
+        }
+        break;
+      }
+      case FaultEvent::Type::kCrash:
+        set_down(e.a, true);
+        if (replay_hooks_.on_crash) {
+          post(e.a, [this, p = e.a, at = e.at] {
+            replay_hooks_.on_crash(p, at);
+          });
+        }
+        break;
+      case FaultEvent::Type::kRecover:
+        set_down(e.a, false);
+        if (replay_hooks_.on_recover) {
+          post(e.a, [this, p = e.a, at = e.at] {
+            replay_hooks_.on_recover(p, at);
+          });
+        }
+        break;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const auto a = static_cast<ProcessId>(i);
+      const auto b = static_cast<ProcessId>(j);
+      set_loss_rate(a, b, std::max(0.0, scenario.loss_rate(a, b, t)));
+      set_duplicate_rate(a, b,
+                         std::max(0.0, scenario.duplicate_rate(a, b, t)));
+    }
+  }
 }
 
 void SocketTransport::set_severed(ProcessId a, ProcessId b, bool severed) {

@@ -1,9 +1,9 @@
 // Real-sockets transport root: length-prefixed TCP frames between actual
 // OS processes (or over loopback within one).
 //
-// SocketTransport is the fourth HostTransport root, next to Simulator,
-// ThreadRuntime and ParallelSimulator.  Endpoints registered here run on
-// mailbox worker threads exactly like under ThreadRuntime, but every
+// SocketTransport is the third HostTransport root, next to Simulator and
+// ParallelSimulator, and the only preemptive one.  Each endpoint
+// registered here runs on its own mailbox worker thread, and every
 // message is serialized (simnet/wire.h), framed and written onto a real
 // TCP connection — even when sender and receiver live in the same OS
 // process.  Two deployment shapes share the implementation:
@@ -11,7 +11,8 @@
 //   * all-local (EngineRuntime::kSockets): every endpoint is registered in
 //     one process, ids 0..n-1 in order, one auto-bound loopback listener.
 //     Decorators (ReliableTransport, BatchingTransport) stack above it
-//     unchanged, and await_quiescence() works like ThreadRuntime's.
+//     unchanged, await_quiescence() waits for global quiescence, and
+//     replay() walks a fault timeline on the wall clock.
 //   * multi-process (pardsm_node): each OS process hosts one endpoint
 //     (options.local_ids = {i}); peers are dialed at options.addrs[j].
 //     Global quiescence is unknowable, so runs settle with drain().
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "simnet/network.h"
+#include "simnet/scenario.h"
 #include "simnet/stats.h"
 #include "simnet/transport.h"
 
@@ -165,8 +167,10 @@ class SocketTransport final : public HostTransport {
   void stop();
 
   /// All-local shape only: block until no queued message, running handler,
-  /// pending timer or undelivered frame remains.  Returns true on
-  /// quiescence, false on timeout.
+  /// pending timer or undelivered frame remains.  A fault timeline being
+  /// replayed runs to its end first: a crashed process's client is idle
+  /// (zero pending work) until its recovery.  Returns true on quiescence,
+  /// false on timeout.
   bool await_quiescence(std::chrono::milliseconds timeout);
 
   /// Multi-process settle: block until no local activity (message, task or
@@ -202,6 +206,20 @@ class SocketTransport final : public HostTransport {
   /// streams, so they are deterministic too.
   void set_loss_rate(ProcessId a, ProcessId b, double rate);
   void set_duplicate_rate(ProcessId a, ProcessId b, double rate);
+
+  /// All-local shape, after start(): replay `scenario` on the wall clock,
+  /// 1 simulated µs = 1 µs from this call.  There is no Network to install
+  /// a RateOverride on, so the timeline is walked explicitly: at each
+  /// window edge every pair's loss/duplication rate is re-sampled into
+  /// set_loss_rate()/set_duplicate_rate() (draws come from the same
+  /// deterministic chaos streams); partitions are counted cuts on
+  /// set_severed(), exactly as in Network; a crash or recovery takes the
+  /// process down or up and runs its hook on the process's own mailbox.
+  /// Edges at t <= 0 take effect before this returns, exactly like
+  /// Scenario::apply(): a timeline that starts lossy is lossy from the
+  /// first message.  Later edges run on a timeline thread that
+  /// await_quiescence() and stop() join.  `scenario` must outlive it.
+  void replay(const Scenario& scenario, ScenarioHooks hooks);
 
   // -- peer liveness ---------------------------------------------------------
   /// Callback invoked (on the detector thread) when the failure detector
@@ -307,6 +325,8 @@ class SocketTransport final : public HostTransport {
   void note_activity() { activity_.fetch_add(1, std::memory_order_relaxed); }
   void note_rx(ProcessId from, std::uint64_t incarnation, bool is_hello);
   void handle_frame(const std::vector<std::uint8_t>& payload);
+  /// Apply every timeline edge at simulated instant t (replay()).
+  void replay_instant(const Scenario& scenario, TimePoint t);
   [[nodiscard]] std::chrono::steady_clock::time_point steady_now() const {
     return std::chrono::steady_clock::now();
   }
@@ -350,6 +370,11 @@ class SocketTransport final : public HostTransport {
   std::atomic<std::uint64_t> activity_{0};
 
   std::chrono::steady_clock::time_point start_time_;
+
+  // -- fault-timeline replay ------------------------------------------------
+  std::thread replay_;
+  ScenarioHooks replay_hooks_;
+  std::vector<int> replay_cuts_;  ///< n*n partition cut counts
   std::atomic<std::uint64_t> next_msg_id_{1};
 };
 

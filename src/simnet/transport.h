@@ -1,8 +1,8 @@
 // Runtime-independent interface between protocols and the world.
 //
 // Protocols (src/mcs) are written once against Transport + Endpoint and run
-// unchanged under the deterministic discrete-event simulator and under the
-// std::thread runtime.  This is the boundary that makes the "multi-node
+// unchanged under the deterministic discrete-event simulators and over
+// real TCP sockets.  This is the boundary that makes the "multi-node
 // emulation" substitution of DESIGN.md §2 possible.
 #pragma once
 
@@ -59,11 +59,12 @@ class Transport {
   }
 };
 
-/// A Transport that also owns endpoint registration.  Both root runtimes
-/// (Simulator, ThreadRuntime) and every stackable decorator
-/// (ReliableTransport, BatchingTransport) implement it, so decorators can
-/// wrap *any* HostTransport rather than the simulator specifically — that
-/// is what lets the transport stack compose in either order:
+/// A Transport that also owns endpoint registration.  Every root runtime
+/// (Simulator, ParallelSimulator, SocketTransport) and every stackable
+/// decorator (ReliableTransport, BatchingTransport) implement it, so
+/// decorators can wrap *any* HostTransport rather than the simulator
+/// specifically — that is what lets the transport stack compose in either
+/// order:
 ///
 ///   app → BatchingTransport → ReliableTransport → Simulator   (default)
 ///   app → ReliableTransport → BatchingTransport → Simulator

@@ -39,31 +39,9 @@ inline void fnv1a(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Deterministic workload: ops_per_process=8, read_fraction=0.5, seed=42,
-/// lossless FIFO channel, constant 1ms latency.
-inline Metrics measure(mcs::ProtocolKind kind,
-                       const graph::Distribution& dist) {
-  mcs::WorkloadSpec spec;
-  spec.ops_per_process = 8;
-  spec.read_fraction = 0.5;
-  spec.seed = 42;
-  const auto scripts = mcs::make_random_scripts(dist, spec);
-
-  Simulator sim;
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto processes = mcs::make_processes(kind, dist, recorder);
-  for (auto& proc : processes) {
-    sim.add_endpoint(proc.get());
-    proc->attach(sim);
-  }
-  std::vector<std::unique_ptr<mcs::ScriptedClient>> clients;
-  for (std::size_t p = 0; p < processes.size(); ++p) {
-    clients.push_back(std::make_unique<mcs::ScriptedClient>(
-        *processes[p], sim, scripts[p]));
-    clients.back()->start(kTimeZero);
-  }
-  sim.run();
-
+/// Reduce a finished Simulator run to its Metrics tuple.
+inline Metrics simulator_metrics(const Simulator& sim,
+                                 const graph::Distribution& dist) {
   Metrics out;
   const auto total = sim.stats().total();
   out.messages = total.msgs_sent;
@@ -84,6 +62,33 @@ inline Metrics measure(mcs::ProtocolKind kind,
   out.events = sim.events_fired();
   out.finished_us = sim.now().us;
   return out;
+}
+
+/// Deterministic workload: ops_per_process=8, read_fraction=0.5, seed=42,
+/// lossless FIFO channel, constant 1ms latency.
+inline Metrics measure(mcs::ProtocolKind kind,
+                       const graph::Distribution& dist) {
+  mcs::WorkloadSpec spec;
+  spec.ops_per_process = 8;
+  spec.read_fraction = 0.5;
+  spec.seed = 42;
+  const auto scripts = mcs::make_random_scripts(dist, spec);
+
+  Simulator sim;
+  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
+  auto processes = mcs::make_processes(kind, dist, recorder);
+  for (auto& proc : processes) {
+    sim.add_endpoint(proc.get());
+    proc->attach(sim);
+  }
+  std::vector<std::unique_ptr<mcs::Client>> clients;
+  for (std::size_t p = 0; p < processes.size(); ++p) {
+    clients.push_back(std::make_unique<mcs::Client>(
+        *processes[p], sim, scripts[p]));
+    clients.back()->start(kTimeZero);
+  }
+  sim.run();
+  return simulator_metrics(sim, dist);
 }
 
 /// The topology corpus of the gate: hoop-rich ring, hoop-free chain, and

@@ -1,5 +1,5 @@
 // pardsm_lint fixture: the wall-clock roots allowlist.  This file's
-// layer/stem pair (simnet/thread_runtime) is a real-time transport root,
+// layer/stem pair (simnet/socket_transport) is a real-time transport root,
 // so R1 must stay quiet even though it reads the host clock.
 #include <chrono>
 

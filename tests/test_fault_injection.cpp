@@ -121,10 +121,10 @@ TEST(Partition, PramSafeUnderOneWayPartition) {
     sim.add_endpoint(p.get());
     p->attach(sim);
   }
-  std::vector<std::unique_ptr<ScriptedClient>> clients;
+  std::vector<std::unique_ptr<Client>> clients;
   for (std::size_t p = 0; p < 3; ++p) {
     clients.push_back(
-        std::make_unique<ScriptedClient>(*procs[p], sim, scripts[p]));
+        std::make_unique<Client>(*procs[p], sim, scripts[p]));
     clients.back()->start(kTimeZero + micros(1));
   }
   // network() is created lazily at first send; sever just after start.

@@ -10,11 +10,10 @@
 //     shards* — stop-the-world globals must pause and resume clients
 //     with the PR 3 semantics (scripts keep their place, recovery
 //     re-syncs replicas) regardless of which worker owns the victim.
-//   * Coexistence with the std::thread runtime and with other parallel
-//     runs in flight — the engines share nothing but a thread_local
-//     shard-context key, and a run's results must not change because
-//     another runtime is executing concurrently in the same address
-//     space.
+//   * Coexistence with a sockets run and with other parallel runs in
+//     flight — the engines share nothing but a thread_local shard-context
+//     key, and a run's results must not change because another runtime
+//     is executing concurrently in the same address space.
 
 #include <gtest/gtest.h>
 
@@ -184,7 +183,7 @@ RunOptions stress_options() {
   return o;
 }
 
-TEST(RuntimeCoexistence, ParallelRunUnchangedBesideThreadRuntime) {
+TEST(RuntimeCoexistence, ParallelRunUnchangedBesideSocketsRun) {
   const auto dist = graph::topo::clusters(2, 3, true);
   WorkloadSpec spec;
   spec.ops_per_process = 4;
@@ -195,10 +194,14 @@ TEST(RuntimeCoexistence, ParallelRunUnchangedBesideThreadRuntime) {
   const RunResult solo = run_workload_parallel(
       ProtocolKind::kPramPartial, dist, scripts, 2, stress_options());
 
-  RunResult threaded;
+  ScenarioRunResult sockets;
   std::thread other([&] {
-    threaded =
-        run_workload_threaded(ProtocolKind::kPramPartial, dist, scripts);
+    EngineConfig config;
+    config.protocol = ProtocolKind::kPramPartial;
+    config.distribution = &dist;
+    config.scripts = &scripts;
+    config.runtime = EngineRuntime::kSockets;
+    sockets = run(std::move(config));
   });
   const RunResult beside = run_workload_parallel(
       ProtocolKind::kPramPartial, dist, scripts, 2, stress_options());
@@ -207,7 +210,7 @@ TEST(RuntimeCoexistence, ParallelRunUnchangedBesideThreadRuntime) {
   EXPECT_EQ(beside.history.to_string(), solo.history.to_string());
   EXPECT_EQ(beside.finished_at, solo.finished_at);
   EXPECT_EQ(beside.events, solo.events);
-  EXPECT_TRUE(threaded.history.read_from_resolvable());
+  EXPECT_TRUE(sockets.history.read_from_resolvable());
 }
 
 TEST(RuntimeCoexistence, TwoParallelRunsSideBySide) {

@@ -1,15 +1,17 @@
 // Sockets runtime end-to-end: every protocol over real loopback TCP, the
-// decorator stacks composed above the socket root, chaos injection routed
+// decorator stacks composed above the socket root, every protocol's
+// consistency criterion under real mailbox threads (plus atomic-home
+// linearizability and PRAM exposure confinement), chaos injection routed
 // through ARQ, scenario crash/recover with RSYNC on the wall clock, the
 // receiver-side heartbeat failure detector, and the multi-process
 // bootstrap (pardsm_node) including a SIGKILL/respawn drill.
 //
 // Everything timing-sensitive here asserts *outcomes* (delivery,
-// convergence, counters), never exact times: the sockets runtime is as
-// non-deterministic in timing as kThreads.  Convergence checks use
-// single-writer workloads, whose final replica contents are a pure
-// function of the workload — comparable against a deterministic
-// kSimulator reference run (the same trick as the P6 property).
+// convergence, counters), never exact times: the sockets runtime's timing
+// is non-deterministic.  Convergence checks use single-writer workloads,
+// whose final replica contents are a pure function of the workload —
+// comparable against a deterministic kSimulator reference run (the same
+// trick as the P6 property).
 
 #include <gtest/gtest.h>
 
@@ -24,10 +26,13 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "history/checkers.h"
+#include "history/linearizability.h"
 #include "mcs/driver.h"
 #include "sharegraph/topologies.h"
 #include "simnet/socket_transport.h"
@@ -144,6 +149,120 @@ TEST(Sockets, TransportStacksComposeAboveSocketRoot) {
     }
     EXPECT_EQ(r.unfinished_clients, 0u);
     EXPECT_EQ(r.final_replicas, ref.final_replicas);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Consistency under genuine preemptive parallelism: every process runs on
+// its own mailbox thread, so executions are nondeterministic.  The
+// assertions are the same consistency properties as the simulator suite —
+// they must hold for *every* interleaving the OS produces.
+// ---------------------------------------------------------------------------
+
+mcs::ScenarioRunResult run_on_sockets(mcs::ProtocolKind kind,
+                                      const graph::Distribution& dist,
+                                      const std::vector<mcs::Script>& scripts) {
+  mcs::EngineConfig config;
+  config.protocol = kind;
+  config.distribution = &dist;
+  config.scripts = &scripts;
+  config.runtime = mcs::EngineRuntime::kSockets;
+  config.reliability = mcs::ReliabilityMode::kNever;
+  return mcs::run(std::move(config));
+}
+
+class ThreadedProtocol : public ::testing::TestWithParam<mcs::ProtocolKind> {
+};
+
+TEST_P(ThreadedProtocol, ConsistencyHoldsUnderRealThreads) {
+  using hist::Criterion;
+  const mcs::ProtocolKind kind = GetParam();
+  const auto dist = graph::topo::random_replication(4, 3, 2, 17);
+  mcs::WorkloadSpec spec;
+  spec.ops_per_process = 6;
+  spec.read_fraction = 0.5;
+  spec.seed = 23;
+  const auto scripts = mcs::make_random_scripts(dist, spec);
+
+  const auto result = run_on_sockets(kind, dist, scripts);
+
+  std::vector<Criterion> required;
+  switch (mcs::guarantee_of(kind)) {
+    case mcs::GuaranteeLevel::kAtomic:
+    case mcs::GuaranteeLevel::kSequential:
+      required = {Criterion::kSequential};
+      break;
+    case mcs::GuaranteeLevel::kCausal:
+      required = {Criterion::kCausal};
+      break;
+    case mcs::GuaranteeLevel::kProcessor:
+      required = {Criterion::kPram, Criterion::kCache};
+      break;
+    case mcs::GuaranteeLevel::kPram:
+      required = {Criterion::kPram};
+      break;
+    case mcs::GuaranteeLevel::kCache:
+      required = {Criterion::kCache};
+      break;
+    case mcs::GuaranteeLevel::kSlow:
+      required = {Criterion::kSlow};
+      break;
+  }
+  for (Criterion c : required) {
+    const auto check = hist::check_history(result.history, c);
+    EXPECT_TRUE(check.definitive);
+    EXPECT_TRUE(check.consistent)
+        << mcs::to_string(kind) << " violated " << hist::to_string(c)
+        << " over sockets:\n"
+        << result.history.to_string();
+  }
+}
+
+std::string sanitize(std::string s) {
+  for (char& c : s) {
+    if (c == '-') c = '_';
+  }
+  return s;
+}
+
+INSTANTIATE_TEST_SUITE_P(All, ThreadedProtocol,
+                         ::testing::ValuesIn(mcs::all_protocols()),
+                         [](const auto& info) {
+                           return sanitize(mcs::to_string(info.param));
+                         });
+
+TEST(Sockets, AtomicHomeLinearizableUnderRealThreads) {
+  const auto dist = graph::topo::random_replication(4, 3, 2, 29);
+  mcs::WorkloadSpec spec;
+  spec.ops_per_process = 10;
+  spec.read_fraction = 0.6;
+  spec.seed = 31;
+  const auto scripts = mcs::make_random_scripts(dist, spec);
+  const auto result =
+      run_on_sockets(mcs::ProtocolKind::kAtomicHome, dist, scripts);
+  const auto lin = hist::check_linearizable(result.history);
+  EXPECT_TRUE(lin.definitive);
+  EXPECT_TRUE(lin.linearizable) << result.history.to_string();
+}
+
+TEST(Sockets, PramExposureConfinedToCliqueUnderRealThreads) {
+  const auto dist = graph::topo::chain_with_hoop(5);
+  std::vector<mcs::Script> scripts(dist.process_count());
+  Value v = 1;
+  for (std::size_t p = 0; p < dist.process_count(); ++p) {
+    for (VarId x : dist.per_process[p]) {
+      scripts[p].push_back(mcs::ScriptOp::write(x, v++));
+      scripts[p].push_back(mcs::ScriptOp::read(x));
+    }
+  }
+  const auto result =
+      run_on_sockets(mcs::ProtocolKind::kPramPartial, dist, scripts);
+  for (std::size_t x = 0; x < dist.var_count; ++x) {
+    const auto clique = dist.replicas_of(static_cast<VarId>(x));
+    const std::set<ProcessId> cset(clique.begin(), clique.end());
+    for (ProcessId p : result.observed_relevant[x]) {
+      EXPECT_TRUE(cset.count(p)) << "x" << x << " leaked to p" << p;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -307,44 +308,47 @@ TEST(TransportConformance, UrgentBypassesWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// Window=0 golden regression: a forced pass-through batching layer is
+// Window=0 golden regression: a pass-through batching layer is
 // bit-identical to no batching layer, for all nine protocols on all three
 // golden topologies — messages, bytes, exposure fingerprint, events,
-// quiescence time and the full recorded history.
+// quiescence time and the full recorded history.  The engine never builds
+// a window-0 layer, so the stack is assembled here, the way the golden
+// gate wires a Simulator run.
 // ---------------------------------------------------------------------------
 
-golden::Metrics engine_metrics(mcs::ProtocolKind kind,
-                               const graph::Distribution& dist,
-                               bool forced_window0_layer,
-                               std::string* history_out) {
+golden::Metrics stack_metrics(mcs::ProtocolKind kind,
+                              const graph::Distribution& dist,
+                              bool window0_layer, std::string* history_out) {
   mcs::WorkloadSpec spec;
   spec.ops_per_process = 8;
   spec.read_fraction = 0.5;
   spec.seed = 42;
   const auto scripts = mcs::make_random_scripts(dist, spec);
 
-  mcs::EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.reliability = mcs::ReliabilityMode::kNever;
-  config.force_batching_layer = forced_window0_layer;  // window stays 0
-  const auto r = mcs::run(std::move(config));
-
-  golden::Metrics out;
-  out.messages = r.total_traffic.msgs_sent;
-  out.bytes = r.total_traffic.wire_bytes_sent();
-  out.exposure_hash = 1469598103934665603ULL;  // FNV offset basis
-  for (std::size_t x = 0; x < dist.var_count; ++x) {
-    for (ProcessId p : r.observed_relevant[x]) {
-      golden::fnv1a(out.exposure_hash, static_cast<std::uint64_t>(p));
-      golden::fnv1a(out.exposure_hash, x);
-    }
+  Simulator sim;
+  std::optional<BatchingTransport> batch;
+  HostTransport* top = &sim;
+  if (window0_layer) {
+    batch.emplace(sim, BatchingOptions{});  // window stays 0
+    top = &*batch;
   }
-  out.events = r.events;
-  out.finished_us = r.finished_at.us;
-  *history_out = r.history.to_string();
-  return out;
+  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
+  auto processes = mcs::make_processes(kind, dist, recorder);
+  for (auto& proc : processes) {
+    top->add_endpoint(proc.get());
+    proc->attach(*top);
+  }
+  std::vector<mcs::Client> clients;
+  clients.reserve(processes.size());
+  for (std::size_t p = 0; p < processes.size(); ++p) {
+    clients.emplace_back(*processes[p], sim, scripts[p]);
+  }
+  for (auto& client : clients) client.start(kTimeZero);
+  sim.run();
+  for (const auto& client : clients) EXPECT_TRUE(client.done());
+
+  *history_out = recorder.history().to_string();
+  return golden::simulator_metrics(sim, dist);
 }
 
 TEST(TransportConformance, Window0BatchingLayerIsBitIdentical) {
@@ -354,11 +358,12 @@ TEST(TransportConformance, Window0BatchingLayerIsBitIdentical) {
       std::string history_plain;
       std::string history_layered;
       const auto plain =
-          engine_metrics(kind, topo.dist, false, &history_plain);
+          stack_metrics(kind, topo.dist, false, &history_plain);
       const auto layered =
-          engine_metrics(kind, topo.dist, true, &history_layered);
+          stack_metrics(kind, topo.dist, true, &history_layered);
       EXPECT_EQ(plain.messages, layered.messages);
       EXPECT_EQ(plain.bytes, layered.bytes);
+      EXPECT_EQ(plain.exposure_sum, layered.exposure_sum);
       EXPECT_EQ(plain.exposure_hash, layered.exposure_hash);
       EXPECT_EQ(plain.events, layered.events);
       EXPECT_EQ(plain.finished_us, layered.finished_us);

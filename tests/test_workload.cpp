@@ -2,7 +2,7 @@
 // histogram (exactness vs a sorted-vector reference, merge algebra, the
 // zero-allocation gate), the lazy YCSB-style generator (purity, mix and
 // skew shape, the packing/offset wrap guards), and the engine surface
-// (WorkloadClient on all four runtimes, open-loop arrivals, censored
+// (the engine client on all three runtimes, open-loop arrivals, censored
 // accounting on dead channels, peak-RSS independence of the op count).
 
 #include <gtest/gtest.h>
@@ -348,7 +348,7 @@ TEST(WorkloadEngine, RequiresExactlyOneLoad) {
   EXPECT_THROW((void)mcs::run(std::move(both)), std::logic_error);
 }
 
-TEST(WorkloadEngine, RunsOnAllFourRuntimes) {
+TEST(WorkloadEngine, RunsOnAllThreeRuntimes) {
   const auto dist = graph::topo::complete(4, 8);
   workload::Spec spec;
   spec.ops_per_process = 50;
@@ -358,7 +358,7 @@ TEST(WorkloadEngine, RunsOnAllFourRuntimes) {
 
   for (const auto runtime :
        {mcs::EngineRuntime::kSimulator, mcs::EngineRuntime::kParallelSim,
-        mcs::EngineRuntime::kThreads, mcs::EngineRuntime::kSockets}) {
+        mcs::EngineRuntime::kSockets}) {
     const auto r = run_workload_on(runtime, dist, spec,
                                    mcs::ProtocolKind::kPramPartial,
                                    /*record_history=*/true);
@@ -406,8 +406,8 @@ TEST(WorkloadEngine, OpenLoopCompletesAndChargesQueueing) {
   EXPECT_GT(p99.us, 4.0 * closed_p99.us)
       << "open-loop overload must surface queueing delay";
 
-  // Open loop needs virtual time: the wall-clock runtimes reject it.
-  EXPECT_THROW((void)run_workload_on(mcs::EngineRuntime::kThreads, dist, spec,
+  // Open loop needs virtual time: the wall-clock runtime rejects it.
+  EXPECT_THROW((void)run_workload_on(mcs::EngineRuntime::kSockets, dist, spec,
                                      mcs::ProtocolKind::kAtomicHome, false),
                std::logic_error);
 }

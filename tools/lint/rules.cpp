@@ -35,11 +35,9 @@ std::size_t match_forward(const std::vector<Token>& toks, std::size_t open,
 // ---------------------------------------------------------------------------
 
 // layer/stem pairs allowed to touch wall clocks and the environment.
-constexpr std::array<const char*, 4> kWallClockRoots = {
-    "simnet/thread_runtime",
+constexpr std::array<const char*, 2> kWallClockRoots = {
     "simnet/socket_transport",
     "apps/pardsm_node",
-    "mcs/engine",
 };
 
 // Identifiers that are nondeterministic wherever they appear.
@@ -109,8 +107,7 @@ void rule_determinism(const FileScan& fs, std::vector<Diagnostic>& out) {
                    "'" + t.text +
                        "' breaks (config, seed) determinism; use the "
                        "simulated clock / Rng, or move the call into a "
-                       "wall-clock root (thread_runtime, socket_transport, "
-                       "pardsm_node, mcs/engine)"});
+                       "wall-clock root (socket_transport, pardsm_node)"});
   }
 }
 
