@@ -307,8 +307,16 @@ class SocketRoot final : public Root {
     PARDSM_CHECK(config.sockets.local_ids.empty(),
                  "EngineRuntime::kSockets runs all-local — multi-process "
                  "deployments are driven by pardsm_node");
+    // Rejected here, before start(): a throw once the mailbox threads run
+    // would unwind the processes they still serve.
+    const std::size_t n = dist.process_count();
+    PARDSM_CHECK(config.scenario == nullptr ||
+                     config.scenario->max_process() == kNoProcess ||
+                     static_cast<std::size_t>(config.scenario->max_process()) <
+                         n,
+                 "scenario mentions a process outside the system");
     SocketOptions o = config.sockets;
-    o.total_processes = dist.process_count();
+    o.total_processes = n;
     return o;
   }
 

@@ -111,12 +111,8 @@ class Client {
   /// client was not stalled).
   void resume(TimePoint at);
 
-  /// A script is done once its last op was issued (a lost completion on
-  /// a raw lossy channel is expected there); a stream once every op
-  /// completed (the shortfall is censored).
-  [[nodiscard]] bool done() const {
-    return gen_ != nullptr ? completed_ == total() : issued_ == total();
-  }
+  /// Every op of the load completed.
+  [[nodiscard]] bool done() const { return completed_ == total(); }
   /// Ops handed to the protocol / completed so far.  At quiescence
   /// issued - completed is 0 or, with a dead channel, the censored op.
   [[nodiscard]] std::uint64_t issued() const { return issued_; }

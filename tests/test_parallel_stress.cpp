@@ -211,6 +211,8 @@ TEST(RuntimeCoexistence, ParallelRunUnchangedBesideSocketsRun) {
   EXPECT_EQ(beside.finished_at, solo.finished_at);
   EXPECT_EQ(beside.events, solo.events);
   EXPECT_TRUE(sockets.history.read_from_resolvable());
+  EXPECT_EQ(sockets.unfinished_clients, 0u);
+  EXPECT_EQ(sockets.history.size(), solo.history.size());
 }
 
 TEST(RuntimeCoexistence, TwoParallelRunsSideBySide) {

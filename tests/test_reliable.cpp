@@ -337,5 +337,35 @@ TEST(Reliable, EngineReportsDeadChannelsAndUnfinishedClients) {
   EXPECT_GT(r.drops.dead_channel, 0u);
 }
 
+// A script is finished when its last op *completed*, not when it was
+// issued: the history records completed ops only, so a hung last op would
+// otherwise vanish from every check.  With a dead channel it is reported;
+// on a raw channel that lost it, the run fails.
+TEST(Reliable, EngineCountsAHungLastOpAsUnfinished) {
+  const auto dist = graph::topo::complete(3, 2);
+  std::vector<mcs::Script> scripts(3);
+  scripts[1].push_back(mcs::ScriptOp::write(0, 42));  // an RPC to p0
+
+  mcs::EngineConfig config;
+  config.protocol = mcs::ProtocolKind::kAtomicHome;
+  config.distribution = &dist;
+  config.scripts = &scripts;
+  config.channel.drop_probability = 1.0;
+  config.reliable.retransmit_after = millis(5);
+  config.reliable.max_retransmits = 2;
+  const auto r = mcs::run(std::move(config));
+  EXPECT_FALSE(r.dead_channels.empty());
+  EXPECT_EQ(r.unfinished_clients, 1u);
+  EXPECT_EQ(r.history.size(), 0u);
+
+  mcs::EngineConfig raw;
+  raw.protocol = mcs::ProtocolKind::kAtomicHome;
+  raw.distribution = &dist;
+  raw.scripts = &scripts;
+  raw.channel.drop_probability = 1.0;
+  raw.reliability = mcs::ReliabilityMode::kNever;
+  EXPECT_THROW((void)mcs::run(std::move(raw)), std::logic_error);
+}
+
 }  // namespace
 }  // namespace pardsm

@@ -168,7 +168,16 @@ mcs::ScenarioRunResult run_on_sockets(mcs::ProtocolKind kind,
   config.scripts = &scripts;
   config.runtime = mcs::EngineRuntime::kSockets;
   config.reliability = mcs::ReliabilityMode::kNever;
-  return mcs::run(std::move(config));
+  auto result = mcs::run(std::move(config));
+  // The history holds completed ops only: a scripted op whose completion
+  // never came would vanish from it and leave every check vacuous there.
+  EXPECT_EQ(result.unfinished_clients, 0u);
+  for (std::size_t p = 0; p < scripts.size(); ++p) {
+    EXPECT_EQ(result.history.ops_of(static_cast<ProcessId>(p)).size(),
+              scripts[p].size())
+        << "p" << p << " has unrecorded scripted ops";
+  }
+  return result;
 }
 
 class ThreadedProtocol : public ::testing::TestWithParam<mcs::ProtocolKind> {
@@ -357,6 +366,18 @@ TEST(Sockets, ScenarioCrashRecoverRepairsBelowArqOverSockets) {
   EXPECT_EQ(r.resync_values_applied, 0u);
   EXPECT_EQ(r.unfinished_clients, 0u);
   EXPECT_EQ(r.final_replicas, ref.final_replicas);
+}
+
+// A timeline naming a process outside the system is rejected before any
+// socket opens or mailbox thread starts.
+TEST(Sockets, ScenarioOutsideTheSystemIsRejected) {
+  const Workload w = make_workload(3, 6, 5);
+  Scenario scenario("outside");
+  scenario.crash(3, after(millis(1)), after(millis(2)));
+
+  mcs::EngineConfig config = socket_config(mcs::ProtocolKind::kPramPartial, w);
+  config.scenario = &scenario;
+  EXPECT_THROW((void)mcs::run(std::move(config)), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
