@@ -190,6 +190,7 @@ JacobiResult run_async_jacobi(const JacobiProblem& p,
   result.converged = result.max_abs_error <= kJacobiScale / 256;
   result.total_traffic = sim.stats().total();
   result.finished_at = sim.now();
+  result.history = recorder.history();
   return result;
 }
 

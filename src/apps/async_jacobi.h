@@ -60,6 +60,7 @@ struct JacobiResult {
   bool converged = false;              ///< error below tolerance
   ProcessTraffic total_traffic;
   TimePoint finished_at{};
+  hist::History history;  ///< recorded shared-memory operations
 };
 
 /// Run the asynchronous iteration (one process per component).

@@ -259,6 +259,7 @@ MatrixProductResult run_matrix_product(const Matrix& a, const Matrix& b,
   result.matches_reference = result.product == multiply_reference(a, b);
   result.total_traffic = sim.stats().total();
   result.finished_at = sim.now();
+  result.history = recorder.history();
   return result;
 }
 

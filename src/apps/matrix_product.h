@@ -49,6 +49,7 @@ struct MatrixProductResult {
   bool matches_reference = false;
   ProcessTraffic total_traffic;
   TimePoint finished_at{};
+  hist::History history;  ///< recorded shared-memory operations
 };
 
 /// Multiply a × b with one process per row block.

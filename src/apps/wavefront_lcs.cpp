@@ -177,6 +177,7 @@ LcsResult run_wavefront_lcs(const std::string& s, const std::string& t,
   result.matches_reference = result.length == lcs_reference(s, t);
   result.total_traffic = sim.stats().total();
   result.finished_at = sim.now();
+  result.history = recorder.history();
   result.hoop_free = hoop_free;
   return result;
 }

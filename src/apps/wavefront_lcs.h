@@ -41,6 +41,7 @@ struct LcsResult {
   /// The share graph of the run's distribution had no hoops (always true
   /// for this app; asserted by tests).
   bool hoop_free = false;
+  hist::History history;  ///< recorded shared-memory operations
 };
 
 /// Compute |LCS(s, t)| with one process per row of the DP table.

@@ -39,6 +39,24 @@ inline void fnv1a(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// FNV-1a over every recorded op: kind, process, variable, value,
+/// program index, provenance and both timestamps.
+inline std::uint64_t history_hash(const hist::History& history) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  for (const auto& op : history.ops()) {
+    fnv1a(h, static_cast<std::uint64_t>(op.kind));
+    fnv1a(h, static_cast<std::uint64_t>(op.proc));
+    fnv1a(h, static_cast<std::uint64_t>(op.var));
+    fnv1a(h, static_cast<std::uint64_t>(op.value));
+    fnv1a(h, static_cast<std::uint64_t>(op.proc_seq));
+    fnv1a(h, static_cast<std::uint64_t>(op.write_id.writer));
+    fnv1a(h, static_cast<std::uint64_t>(op.write_id.seq));
+    fnv1a(h, static_cast<std::uint64_t>(op.invoked.us));
+    fnv1a(h, static_cast<std::uint64_t>(op.responded.us));
+  }
+  return h;
+}
+
 /// Reduce a finished Simulator run to its Metrics tuple.
 inline Metrics simulator_metrics(const Simulator& sim,
                                  const graph::Distribution& dist) {
@@ -232,18 +250,7 @@ inline WorkloadMetrics measure_workload(mcs::ProtocolKind kind,
   out.p50_us = quantile_us(r.op_latency, 0.5);
   out.p99_us = quantile_us(r.op_latency, 0.99);
   out.p999_us = quantile_us(r.op_latency, 0.999);
-  out.history_hash = 1469598103934665603ULL;  // FNV offset basis
-  for (const auto& op : r.history.ops()) {
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.kind));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.proc));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.var));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.value));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.proc_seq));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.write_id.writer));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.write_id.seq));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.invoked.us));
-    fnv1a(out.history_hash, static_cast<std::uint64_t>(op.responded.us));
-  }
+  out.history_hash = history_hash(r.history);
   return out;
 }
 
