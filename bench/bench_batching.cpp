@@ -44,17 +44,15 @@ std::vector<Script> batching_scripts(const graph::Distribution& dist) {
   return make_random_scripts(dist, spec);
 }
 
-ScenarioRunResult run_cell(ProtocolKind kind,
-                           const graph::Distribution& dist,
-                           const std::vector<Script>& scripts,
-                           std::int64_t window_us) {
-  EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.reliability = ReliabilityMode::kNever;
-  config.batching.window = micros(window_us);
-  return run(std::move(config));
+RunResult run_cell(ProtocolKind kind,
+                   const graph::Distribution& dist,
+                   const std::vector<Script>& scripts,
+                   std::int64_t window_us) {
+  return run({.protocol = kind,
+              .distribution = &dist,
+              .scripts = &scripts,
+              .reliability = ReliabilityMode::kNever,
+              .batching = {.window = micros(window_us)}});
 }
 
 /// Mean application-operation completion latency (ms) of a run.

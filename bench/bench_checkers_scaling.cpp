@@ -24,8 +24,9 @@ History recorded_history(std::size_t ops_per_process, std::uint64_t seed) {
   spec.read_fraction = 0.5;
   spec.seed = seed;
   const auto scripts = mcs::make_random_scripts(dist, spec);
-  return mcs::run_workload(mcs::ProtocolKind::kCausalPartialNaive, dist,
-                           scripts, {})
+  return mcs::run({.protocol = mcs::ProtocolKind::kCausalPartialNaive,
+                   .distribution = &dist,
+                   .scripts = &scripts})
       .history;
 }
 

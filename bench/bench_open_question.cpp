@@ -31,9 +31,11 @@ RunResult run(ProtocolKind kind, const graph::Distribution& dist) {
   spec.read_fraction = 0.5;
   spec.seed = 5;
   const auto scripts = make_random_scripts(dist, spec);
-  RunOptions options;
-  options.latency = std::make_unique<UniformLatency>(millis(2), millis(10));
-  return run_workload(kind, dist, scripts, std::move(options));
+  return mcs::run(
+      {.protocol = kind,
+       .distribution = &dist,
+       .scripts = &scripts,
+       .latency = std::make_unique<UniformLatency>(millis(2), millis(10))});
 }
 
 void print_table(bu::Harness& h) {
@@ -100,7 +102,8 @@ void BM_Run(benchmark::State& state, ProtocolKind kind) {
   spec.ops_per_process = 6;
   const auto scripts = make_random_scripts(dist, spec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_workload(kind, dist, scripts, {}));
+    benchmark::DoNotOptimize(mcs::run(
+        {.protocol = kind, .distribution = &dist, .scripts = &scripts}));
   }
 }
 BENCHMARK_CAPTURE(BM_Run, pram, ProtocolKind::kPramPartial);

@@ -126,20 +126,26 @@ void sweep(bu::Harness& h, unsigned threads) {
 
       for (auto kind : all_protocols()) {
         if (!feasible_at(kind, n, dist)) continue;
+        // workers == 0 runs the sequential simulator.
+        const auto run_on = [&](unsigned workers) {
+          return run({.protocol = kind,
+                      .distribution = &dist,
+                      .scripts = &scripts,
+                      .runtime = workers > 0 ? EngineRuntime::kParallelSim
+                                             : EngineRuntime::kSimulator,
+                      .parallel = {.num_threads = workers}});
+        };
         // Threads mode: time the same cell at 1 worker first so the row
         // can carry its own parallel speedup.
         std::uint64_t wall_1t_ns = 0;
         if (threads > 0) {
           bu::WallTimer t1;
-          const auto r1 = run_workload_parallel(kind, dist, scripts, 1, {});
+          const auto r1 = run_on(1);
           wall_1t_ns = t1.ns();
           benchmark::DoNotOptimize(&r1);
         }
         bu::WallTimer timer;
-        const auto r =
-            threads > 0
-                ? run_workload_parallel(kind, dist, scripts, threads, {})
-                : run_workload(kind, dist, scripts, {});
+        const auto r = run_on(threads);
         const std::uint64_t wall_ns = timer.ns();
         const std::uint64_t rss_kb = bu::max_rss_kb();
         const double speedup_vs_1t =
@@ -202,7 +208,8 @@ void BM_Scale(benchmark::State& state, ProtocolKind kind) {
   spec.seed = 42;
   const auto scripts = make_random_scripts(dist, spec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_workload(kind, dist, scripts, {}));
+    benchmark::DoNotOptimize(
+        run({.protocol = kind, .distribution = &dist, .scripts = &scripts}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * spec.ops_per_process));

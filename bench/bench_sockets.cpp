@@ -44,11 +44,7 @@ Workload make_workload() {
 }
 
 EngineConfig base_config(ProtocolKind kind, const Workload& w) {
-  EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &w.dist;
-  config.scripts = &w.scripts;
-  return config;
+  return {.protocol = kind, .distribution = &w.dist, .scripts = &w.scripts};
 }
 
 const ProtocolKind kProtocols[] = {ProtocolKind::kPramPartial,
@@ -66,7 +62,7 @@ void sweep(bu::Harness& h) {
 
   for (const ProtocolKind kind : kProtocols) {
     // -- deterministic simulator reference -----------------------------------
-    ScenarioRunResult sim_r;
+    RunResult sim_r;
     const std::uint64_t sim_ns =
         bu::time_ns([&] { sim_r = run(base_config(kind, w)); });
     bu::row({std::string("sim-") + to_string(kind), "simulator",
@@ -88,7 +84,7 @@ void sweep(bu::Harness& h) {
       EngineConfig config = base_config(kind, w);
       config.runtime = EngineRuntime::kSockets;
       config.sockets.chaos.drop_probability = chaos_drop;
-      ScenarioRunResult r;
+      RunResult r;
       const std::uint64_t ns = bu::time_ns([&] { r = run(std::move(config)); });
       const std::string label =
           (chaos_drop > 0.0 ? "sockets-chaos10-" : "sockets-") +

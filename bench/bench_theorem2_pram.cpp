@@ -27,13 +27,15 @@ void print_table(bu::Harness& h) {
     spec.ops_per_process = 6;
     spec.seed = n;
     const auto scripts = make_random_scripts(dist, spec);
-    const auto run =
-        run_workload(ProtocolKind::kPramPartial, dist, scripts, {});
+    const auto once = [&] {
+      return mcs::run({.protocol = ProtocolKind::kPramPartial,
+                       .distribution = &dist,
+                       .scripts = &scripts});
+    };
+    const auto run = once();
     // wall_ns times a second, warm run of the identical (deterministic)
     // workload so the row measures the engine, not cold-start noise.
-    const std::uint64_t wall_ns = bu::time_ns([&] {
-      (void)run_workload(ProtocolKind::kPramPartial, dist, scripts, {});
-    });
+    const std::uint64_t wall_ns = bu::time_ns([&] { (void)once(); });
     const auto report =
         core::analyze_run(dist, run.observed_relevant, run.total_traffic);
 
@@ -83,11 +85,13 @@ void print_table(bu::Harness& h) {
     spec.ops_per_process = 6;
     spec.seed = n;
     const auto scripts = make_random_scripts(dist, spec);
-    const auto run =
-        run_workload(ProtocolKind::kCausalPartialNaive, dist, scripts, {});
-    const std::uint64_t wall_ns = bu::time_ns([&] {
-      (void)run_workload(ProtocolKind::kCausalPartialNaive, dist, scripts, {});
-    });
+    const auto once = [&] {
+      return mcs::run({.protocol = ProtocolKind::kCausalPartialNaive,
+                       .distribution = &dist,
+                       .scripts = &scripts});
+    };
+    const auto run = once();
+    const std::uint64_t wall_ns = bu::time_ns([&] { (void)once(); });
     const auto report =
         core::analyze_run(dist, run.observed_relevant, run.total_traffic);
     const double per_msg =
@@ -122,8 +126,9 @@ void BM_PramRun(benchmark::State& state) {
   spec.ops_per_process = 6;
   const auto scripts = make_random_scripts(dist, spec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_workload(ProtocolKind::kPramPartial, dist, scripts, {}));
+    benchmark::DoNotOptimize(run({.protocol = ProtocolKind::kPramPartial,
+                                  .distribution = &dist,
+                                  .scripts = &scripts}));
   }
 }
 BENCHMARK(BM_PramRun)->Range(4, 64);
@@ -135,8 +140,10 @@ void BM_NaiveCausalRun(benchmark::State& state) {
   spec.ops_per_process = 6;
   const auto scripts = make_random_scripts(dist, spec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_workload(ProtocolKind::kCausalPartialNaive,
-                                          dist, scripts, {}));
+    benchmark::DoNotOptimize(
+        run({.protocol = ProtocolKind::kCausalPartialNaive,
+             .distribution = &dist,
+             .scripts = &scripts}));
   }
 }
 BENCHMARK(BM_NaiveCausalRun)->Range(4, 64);

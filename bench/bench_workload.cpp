@@ -91,7 +91,7 @@ void run_cell(bu::Harness& h, ProtocolKind kind,
   config.runtime = cell.runtime;
   if (cell.threads != 0) config.parallel.num_threads = cell.threads;
 
-  ScenarioRunResult run;
+  RunResult run;
   const std::uint64_t allocs_before = bu::allocs_so_far();
   const std::uint64_t wall_ns = bu::time_ns([&] { run = mcs::run(std::move(config)); });
   const std::uint64_t allocs = bu::allocs_so_far() - allocs_before;
@@ -216,12 +216,10 @@ void BM_StreamedWorkload(benchmark::State& state, ProtocolKind kind) {
   spec.ops_per_process = static_cast<std::uint64_t>(state.range(0));
   spec.seed = 11;
   for (auto _ : state) {
-    EngineConfig config;
-    config.protocol = kind;
-    config.distribution = &dist;
-    config.workload = &spec;
-    config.record_history = false;
-    benchmark::DoNotOptimize(run(std::move(config)));
+    benchmark::DoNotOptimize(run({.protocol = kind,
+                                  .distribution = &dist,
+                                  .workload = &spec,
+                                  .record_history = false}));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *

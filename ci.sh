@@ -2,7 +2,8 @@
 # Tier-1 verify + quick bench sweep.  This is what CI runs and what a
 # contributor should run before pushing:
 #
-#   ./ci.sh                 # -Werror build + ctest + bench_all --quick
+#   ./ci.sh                 # -Werror build + perfbench driver compile +
+#                           # ctest + bench_all --quick
 #   SANITIZE=1 ./ci.sh      # ASan+UBSan build + ctest (no bench sweep) —
 #                           # the ARQ retransmit path and crash/recovery
 #                           # teardown are exactly where lifetime bugs hide
@@ -140,6 +141,15 @@ if [ "${SOCKETS_SMOKE:-0}" != "0" ]; then
       --delay-us 2000 --kill 2 --kill-after-ms 120 --respawn-after-ms 350
   echo "== done (sockets smoke) =="
   exit 0
+fi
+
+if [ "$SANITIZE" = "0" ]; then
+  # Compile (never run) the repository benchmark's driver in its own build
+  # tree, so a public-API change that perfbench/main.cpp compiles against
+  # fails here and not only in the opt-in BENCH_SELFTEST job.
+  echo "== build: perfbench driver (compile only) =="
+  cmake -B "$BUILD_DIR/perfbench" -S perfbench "${CMAKE_EXTRA[@]}"
+  cmake --build "$BUILD_DIR/perfbench" --target perfbench -j "$JOBS"
 fi
 
 echo "== test =="

@@ -29,13 +29,11 @@ struct Cell {
 
 Cell run_cell(ProtocolKind kind, const graph::Distribution& dist,
               const std::vector<Script>& scripts, std::int64_t window_us) {
-  EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.reliability = ReliabilityMode::kNever;
-  config.batching.window = micros(window_us);
-  const auto r = run(std::move(config));
+  const auto r = run({.protocol = kind,
+                      .distribution = &dist,
+                      .scripts = &scripts,
+                      .reliability = ReliabilityMode::kNever,
+                      .batching = {.window = micros(window_us)}});
   return {r.total_traffic.msgs_sent, r.total_traffic.wire_bytes_sent(),
           static_cast<double>(r.finished_at.us) / 1000.0};
 }

@@ -83,10 +83,12 @@ int main(int argc, char** argv) {
   spec.seed = seed;
   const auto scripts = mcs::make_random_scripts(dist, spec);
 
-  mcs::RunOptions options;
-  options.sim_seed = seed;
-  options.latency = std::make_unique<UniformLatency>(millis(1), millis(10));
-  const auto run = mcs::run_workload(kind, dist, scripts, std::move(options));
+  const auto run = mcs::run(
+      {.protocol = kind,
+       .distribution = &dist,
+       .scripts = &scripts,
+       .sim_seed = seed,
+       .latency = std::make_unique<UniformLatency>(millis(1), millis(10))});
 
   std::cout << "protocol : " << mcs::to_string(kind) << '\n'
             << "topology : " << dist.name << "  (" << dist.process_count()

@@ -24,7 +24,7 @@ namespace {
 
 struct Ledger {
   const char* protocol;
-  mcs::ScenarioRunResult faulty;
+  mcs::RunResult faulty;
   std::uint64_t lossless_bytes = 0;
   bool consistent = false;
 };
@@ -32,13 +32,15 @@ struct Ledger {
 Ledger run_one(mcs::ProtocolKind kind, const graph::Distribution& dist,
                const std::vector<mcs::Script>& scripts,
                const Scenario& scenario) {
-  const auto lossless = mcs::run_workload(kind, dist, scripts, {});
+  const auto lossless =
+      mcs::run({.protocol = kind, .distribution = &dist, .scripts = &scripts});
 
-  mcs::RunOptions options;
-  options.sim_seed = 7;
   Ledger out{mcs::to_string(kind),
-             mcs::run_scenario(kind, dist, scripts, scenario,
-                               std::move(options)),
+             mcs::run({.protocol = kind,
+                       .distribution = &dist,
+                       .scripts = &scripts,
+                       .scenario = &scenario,
+                       .sim_seed = 7}),
              lossless.total_traffic.wire_bytes_sent(), false};
   out.consistent =
       hist::check_history(out.faulty.history, hist::Criterion::kCausal)

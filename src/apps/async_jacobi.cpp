@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "simnet/check.h"
 #include "simnet/rng.h"
 
@@ -76,9 +76,10 @@ graph::Distribution make_distribution(std::size_t n) {
 
 class Component {
  public:
-  Component(std::size_t self, const JacobiProblem& p, mcs::McsProcess& mcs,
-            Simulator& sim, const JacobiOptions& options)
-      : self_(self), p_(p), mcs_(mcs), sim_(sim), options_(options) {}
+  Component(std::size_t self, const JacobiProblem& p, System& dsm,
+            const JacobiOptions& options)
+      : self_(self), p_(p), mcs_(dsm.process(static_cast<ProcessId>(self))),
+        dsm_(dsm), options_(options) {}
 
   void start() {
     mcs_.write(static_cast<VarId>(self_), 0, [this] { round(); });
@@ -130,15 +131,14 @@ class Component {
     x_ = static_cast<std::int64_t>(acc / kJacobiScale) + p_.b[self_];
     mcs_.write(static_cast<VarId>(self_), x_, [this] {
       ++rounds_done_;
-      sim_.schedule_at(sim_.now() + options_.round_delay,
-                       [this] { round(); });
+      dsm_.after(options_.round_delay, [this] { round(); });
     });
   }
 
   std::size_t self_;
   const JacobiProblem& p_;
   mcs::McsProcess& mcs_;
-  Simulator& sim_;
+  System& dsm_;
   JacobiOptions options_;
   Value x_ = 0;
   Value left_ = 0;
@@ -152,29 +152,17 @@ class Component {
 JacobiResult run_async_jacobi(const JacobiProblem& p,
                               const JacobiOptions& options) {
   const std::size_t n = p.size();
-  const auto dist = make_distribution(n);
-
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(millis(1), millis(6));
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto procs = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : procs) {
-    sim.add_endpoint(proc.get());
-    proc->attach(sim);
-  }
+  System dsm({options.protocol, make_distribution(n), options.sim_seed, {},
+              millis(1), millis(6)});
 
   std::vector<std::unique_ptr<Component>> comps;
   for (std::size_t i = 0; i < n; ++i) {
-    comps.push_back(
-        std::make_unique<Component>(i, p, *procs[i], sim, options));
+    comps.push_back(std::make_unique<Component>(i, p, dsm, options));
   }
   for (auto& c : comps) {
-    sim.schedule_at(kTimeZero, [comp = c.get()] { comp->start(); });
+    dsm.at(kTimeZero, [comp = c.get()] { comp->start(); });
   }
-  sim.run();
+  dsm.run();
 
   JacobiResult result;
   const auto reference = jacobi_reference(p);
@@ -188,9 +176,9 @@ JacobiResult run_async_jacobi(const JacobiProblem& p,
   }
   // Tolerance: a few fixed-point ulps per unit magnitude.
   result.converged = result.max_abs_error <= kJacobiScale / 256;
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
-  result.history = recorder.history();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
+  result.history = dsm.history();
   return result;
 }
 

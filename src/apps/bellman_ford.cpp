@@ -4,7 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "simnet/check.h"
 
 namespace pardsm::apps {
@@ -36,13 +36,13 @@ namespace {
 /// machine over the asynchronous MCS API.
 class BfNode {
  public:
-  BfNode(int self, const WeightedGraph& g, mcs::McsProcess& mcs,
-         Simulator& sim, const BellmanFordOptions& options)
+  BfNode(int self, const WeightedGraph& g, System& dsm,
+         const BellmanFordOptions& options)
       : self_(self),
         n_(g.size()),
         preds_(g.predecessors(self)),
-        mcs_(mcs),
-        sim_(sim),
+        mcs_(dsm.process(self)),
+        dsm_(dsm),
         options_(options) {
     weights_.reserve(preds_.size());
     for (int j : preds_) {
@@ -93,7 +93,7 @@ class BfNode {
         ++polls_;
         PARDSM_CHECK(polls_ <= options_.max_polls,
                      "Bellman-Ford barrier did not release — deadlock?");
-        sim_.schedule_at(sim_.now() + options_.poll, [this] { barrier(); });
+        dsm_.after(options_.poll, [this] { barrier(); });
         return;
       }
       check_pred(idx + 1);
@@ -147,7 +147,7 @@ class BfNode {
   std::vector<int> preds_;
   std::vector<std::int64_t> weights_;
   mcs::McsProcess& mcs_;
-  Simulator& sim_;
+  System& dsm_;
   BellmanFordOptions options_;
 
   Value x_ = kInfDistance;
@@ -162,32 +162,19 @@ class BfNode {
 
 BellmanFordResult run_bellman_ford(const WeightedGraph& g,
                                    const BellmanFordOptions& options) {
-  const auto dist = bellman_ford_distribution(g);
-
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(options.latency_lo,
-                                                         options.latency_hi);
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto processes = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : processes) {
-    const ProcessId assigned = sim.add_endpoint(proc.get());
-    PARDSM_CHECK(assigned == proc->id(), "process id mismatch");
-    proc->attach(sim);
-  }
+  System dsm({options.protocol, bellman_ford_distribution(g), options.sim_seed,
+              {}, options.latency_lo, options.latency_hi});
 
   std::vector<std::unique_ptr<BfNode>> nodes;
   for (std::size_t i = 0; i < g.size(); ++i) {
-    nodes.push_back(std::make_unique<BfNode>(static_cast<int>(i), g,
-                                             *processes[i], sim, options));
+    nodes.push_back(
+        std::make_unique<BfNode>(static_cast<int>(i), g, dsm, options));
   }
   for (auto& node : nodes) {
-    sim.schedule_at(kTimeZero, [n = node.get()] { n->start(); });
+    dsm.at(kTimeZero, [n = node.get()] { n->start(); });
   }
 
-  sim.run();
+  dsm.run();
 
   BellmanFordResult result;
   result.reference = bellman_ford_reference(g, options.source);
@@ -199,9 +186,9 @@ BellmanFordResult run_bellman_ford(const WeightedGraph& g,
     result.handoff_violations += node->handoff_violations();
   }
   result.matches_reference = result.distances == result.reference;
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
-  result.history = recorder.history();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
+  result.history = dsm.history();
   return result;
 }
 

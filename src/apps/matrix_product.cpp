@@ -1,6 +1,6 @@
 #include "apps/matrix_product.h"
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "simnet/check.h"
 #include "simnet/rng.h"
 
@@ -98,9 +98,9 @@ graph::Distribution make_distribution(const Layout& lay) {
 class Worker {
  public:
   Worker(std::size_t self, const Layout& lay, const Matrix& a,
-         const Matrix& b, mcs::McsProcess& mcs, Simulator& sim,
-         Duration poll)
-      : self_(self), lay_(lay), a_(a), b_(b), mcs_(mcs), sim_(sim),
+         const Matrix& b, System& dsm, Duration poll)
+      : self_(self), lay_(lay), a_(a), b_(b),
+        mcs_(dsm.process(static_cast<ProcessId>(self))), dsm_(dsm),
         poll_(poll) {}
 
   void start() { publish_inputs(); }
@@ -144,7 +144,7 @@ class Worker {
       if (flag == 1) {
         barrier(q + 1);
       } else {
-        sim_.schedule_at(sim_.now() + poll_, [this, q] { barrier(q); });
+        dsm_.after(poll_, [this, q] { barrier(q); });
       }
     });
   }
@@ -206,7 +206,7 @@ class Worker {
   const Matrix& a_;
   const Matrix& b_;
   mcs::McsProcess& mcs_;
-  Simulator& sim_;
+  System& dsm_;
   Duration poll_;
   Matrix b_read_;
   Matrix c_rows_;
@@ -223,29 +223,18 @@ MatrixProductResult run_matrix_product(const Matrix& a, const Matrix& b,
   PARDSM_CHECK(processes >= 1 && processes <= n,
                "process count must be in [1, n]");
   Layout lay{n, processes};
-  const auto dist = make_distribution(lay);
-
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(millis(1), millis(4));
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto procs = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : procs) {
-    sim.add_endpoint(proc.get());
-    proc->attach(sim);
-  }
+  System dsm({options.protocol, make_distribution(lay), options.sim_seed, {},
+              millis(1), millis(4)});
 
   std::vector<std::unique_ptr<Worker>> workers;
   for (std::size_t p = 0; p < processes; ++p) {
-    workers.push_back(std::make_unique<Worker>(p, lay, a, b, *procs[p], sim,
-                                               options.poll));
+    workers.push_back(
+        std::make_unique<Worker>(p, lay, a, b, dsm, options.poll));
   }
   for (auto& w : workers) {
-    sim.schedule_at(kTimeZero, [worker = w.get()] { worker->start(); });
+    dsm.at(kTimeZero, [worker = w.get()] { worker->start(); });
   }
-  sim.run();
+  dsm.run();
 
   MatrixProductResult result;
   result.product.assign(n, std::vector<std::int64_t>(n, 0));
@@ -257,9 +246,9 @@ MatrixProductResult run_matrix_product(const Matrix& a, const Matrix& b,
     }
   }
   result.matches_reference = result.product == multiply_reference(a, b);
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
-  result.history = recorder.history();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
+  result.history = dsm.history();
   return result;
 }
 

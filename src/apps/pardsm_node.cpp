@@ -467,11 +467,8 @@ int run_spawn(const std::string& exe, const SpawnOptions& opt) {
   // deterministic simulator.  Single-writer variables make the final
   // replica state a pure function of the workload, so the sockets run
   // must land on exactly this state.
-  EngineConfig ref;
-  ref.protocol = protocol;
-  ref.distribution = &dist;
-  ref.scripts = &scripts;
-  const ScenarioRunResult reference = run(std::move(ref));
+  const RunResult reference =
+      run({.protocol = protocol, .distribution = &dist, .scripts = &scripts});
 
   std::uint64_t sent = 0, received = 0, reconnects = 0;
   std::uint64_t peer_down = 0, peer_up = 0, resync_applied = 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "sharegraph/hoops.h"
 #include "simnet/check.h"
 
@@ -63,9 +63,10 @@ graph::Distribution make_distribution(const Layout& lay) {
 class RowWorker {
  public:
   RowWorker(std::size_t p, const Layout& lay, const std::string& s,
-            const std::string& t, mcs::McsProcess& mcs, Simulator& sim,
-            Duration poll)
-      : p_(p), lay_(lay), s_(s), t_(t), mcs_(mcs), sim_(sim), poll_(poll) {
+            const std::string& t, System& dsm, Duration poll)
+      : p_(p), lay_(lay), s_(s), t_(t),
+        mcs_(dsm.process(static_cast<ProcessId>(p))), dsm_(dsm),
+        poll_(poll) {
     row_.assign(lay_.cols, 0);
     prev_.assign(lay_.cols, 0);
   }
@@ -96,7 +97,7 @@ class RowWorker {
     // Need predecessor cells (p, j-1) and (p, j): wait for c_{p-1} > j.
     mcs_.read(lay_.counter(p_ - 1), [this, j](Value c) {
       if (c == kBottom || c < static_cast<Value>(j + 1)) {
-        sim_.schedule_at(sim_.now() + poll_, [this, j] { step(j); });
+        dsm_.after(poll_, [this, j] { step(j); });
         return;
       }
       mcs_.read(lay_.cell(p_, j - 1), [this, j](Value diag) {
@@ -125,7 +126,7 @@ class RowWorker {
   const std::string& s_;
   const std::string& t_;
   mcs::McsProcess& mcs_;
-  Simulator& sim_;
+  System& dsm_;
   Duration poll_;
   std::vector<Value> row_;
   std::vector<Value> prev_;
@@ -138,36 +139,25 @@ LcsResult run_wavefront_lcs(const std::string& s, const std::string& t,
                             const LcsOptions& options) {
   PARDSM_CHECK(!s.empty() && !t.empty(), "LCS needs non-empty strings");
   Layout lay{s.size() + 1, t.size() + 1};
-  const auto dist = make_distribution(lay);
+  System dsm({options.protocol, make_distribution(lay), options.sim_seed, {},
+              millis(1), millis(3)});
 
   // The app's distribution is hoop-free by construction; report it.
-  const graph::ShareGraph sg(dist);
+  const graph::ShareGraph sg(dsm.distribution());
   bool hoop_free = true;
   for (std::size_t x = 0; x < sg.var_count() && hoop_free; ++x) {
     if (graph::hoop_exists(sg, static_cast<VarId>(x))) hoop_free = false;
   }
 
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(millis(1), millis(3));
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto procs = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : procs) {
-    sim.add_endpoint(proc.get());
-    proc->attach(sim);
-  }
-
   std::vector<std::unique_ptr<RowWorker>> workers;
   for (std::size_t p = 0; p < s.size(); ++p) {
-    workers.push_back(std::make_unique<RowWorker>(p, lay, s, t, *procs[p],
-                                                  sim, options.poll));
+    workers.push_back(
+        std::make_unique<RowWorker>(p, lay, s, t, dsm, options.poll));
   }
   for (auto& w : workers) {
-    sim.schedule_at(kTimeZero, [worker = w.get()] { worker->start(); });
+    dsm.at(kTimeZero, [worker = w.get()] { worker->start(); });
   }
-  sim.run();
+  dsm.run();
 
   LcsResult result;
   for (const auto& w : workers) {
@@ -175,9 +165,9 @@ LcsResult run_wavefront_lcs(const std::string& s, const std::string& t,
   }
   result.length = static_cast<std::size_t>(workers.back()->last_cell());
   result.matches_reference = result.length == lcs_reference(s, t);
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
-  result.history = recorder.history();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
+  result.history = dsm.history();
   result.hoop_free = hoop_free;
   return result;
 }

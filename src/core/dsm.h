@@ -12,9 +12,12 @@
 //   dsm.read_now(3, 0);           // wait-free local read
 //   auto h = dsm.history();       // exact recorded history
 //
-// The System owns a deterministic Simulator; for preemptive execution run
-// the same protocols on mcs::EngineRuntime::kSockets (the protocols are
-// runtime-agnostic).
+// The System owns a deterministic Simulator.  It is the one hand-wired
+// simulated instance: the distribution-oblivious apps (Bellman-Ford,
+// matrix product, wavefront LCS, asynchronous Jacobi; src/apps/) each
+// build a System and drive it with at()/after().  Scripted and generated
+// loads run through mcs::run (mcs/engine.h) instead, which also runs the
+// same protocols preemptively on mcs::EngineRuntime::kSockets.
 #pragma once
 
 #include <functional>

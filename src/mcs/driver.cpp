@@ -56,69 +56,4 @@ std::vector<Script> make_single_writer_scripts(const graph::Distribution& dist,
   return scripts;
 }
 
-namespace {
-
-/// The shared slice of all three wrappers.
-EngineConfig base_config(ProtocolKind kind, const graph::Distribution& dist,
-                         const std::vector<Script>& scripts,
-                         RunOptions&& options) {
-  EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.sim_seed = options.sim_seed;
-  config.channel = options.channel;
-  config.latency = std::move(options.latency);
-  config.reliable = options.reliable;
-  return config;
-}
-
-}  // namespace
-
-RunResult run_workload(ProtocolKind kind, const graph::Distribution& dist,
-                       const std::vector<Script>& scripts,
-                       RunOptions options) {
-  EngineConfig config = base_config(kind, dist, scripts, std::move(options));
-  config.reliability = ReliabilityMode::kNever;
-  ScenarioRunResult r = run(std::move(config));
-  return static_cast<RunResult&&>(std::move(r));  // move-slice, no copy
-}
-
-ScenarioRunResult run_scenario(ProtocolKind kind,
-                               const graph::Distribution& dist,
-                               const std::vector<Script>& scripts,
-                               const Scenario& scenario, RunOptions options) {
-  EngineConfig config = base_config(kind, dist, scripts, std::move(options));
-  // Any loss source — the timeline's or the ChannelOptions the caller
-  // seeded the channel with — needs the ARQ layer for liveness.
-  config.reliability = ReliabilityMode::kAuto;
-  config.scenario = &scenario;
-  return run(std::move(config));
-}
-
-RunResult run_workload_parallel(ProtocolKind kind,
-                                const graph::Distribution& dist,
-                                const std::vector<Script>& scripts,
-                                unsigned threads, RunOptions options) {
-  EngineConfig config = base_config(kind, dist, scripts, std::move(options));
-  config.reliability = ReliabilityMode::kNever;
-  config.runtime = EngineRuntime::kParallelSim;
-  config.parallel.num_threads = threads;
-  ScenarioRunResult r = run(std::move(config));
-  return static_cast<RunResult&&>(std::move(r));
-}
-
-ScenarioRunResult run_scenario_parallel(ProtocolKind kind,
-                                        const graph::Distribution& dist,
-                                        const std::vector<Script>& scripts,
-                                        const Scenario& scenario,
-                                        unsigned threads, RunOptions options) {
-  EngineConfig config = base_config(kind, dist, scripts, std::move(options));
-  config.reliability = ReliabilityMode::kAuto;
-  config.scenario = &scenario;
-  config.runtime = EngineRuntime::kParallelSim;
-  config.parallel.num_threads = threads;
-  return run(std::move(config));
-}
-
 }  // namespace pardsm::mcs

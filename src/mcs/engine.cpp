@@ -138,13 +138,13 @@ class Root {
   /// The histogram process p's client records into: one per execution
   /// lane, merged into `result` by collect().
   [[nodiscard]] virtual LatencyHistogram& latency_lane(
-      ProcessId p, ScenarioRunResult& result) = 0;
+      ProcessId p, RunResult& result) = 0;
   /// Wire the fault timeline; events at t <= 0 take effect before any
   /// client op, so a scenario that starts lossy is lossy for the very
   /// first message.
   virtual void apply(const Scenario& scenario, ScenarioHooks hooks) = 0;
   virtual void run_to_quiescence(std::chrono::milliseconds timeout) = 0;
-  virtual void collect(ScenarioRunResult& result) = 0;
+  virtual void collect(RunResult& result) = 0;
 };
 
 class SimulatorRoot final : public Root {
@@ -163,14 +163,14 @@ class SimulatorRoot final : public Root {
   // The clients never run concurrently, so they all record straight into
   // the result's histogram.
   LatencyHistogram& latency_lane(ProcessId,
-                                 ScenarioRunResult& result) override {
+                                 RunResult& result) override {
     return result.op_latency;
   }
   void apply(const Scenario& scenario, ScenarioHooks hooks) override {
     scenario.apply(sim_, std::move(hooks));
   }
   void run_to_quiescence(std::chrono::milliseconds) override { sim_.run(); }
-  void collect(ScenarioRunResult& result) override {
+  void collect(RunResult& result) override {
     result.finished_at = sim_.now();
     result.events = sim_.events_fired();
     result.drops = sim_.network().drop_counters();
@@ -213,7 +213,7 @@ class ParallelRoot final : public Root {
       sim_.schedule_at(t, p, std::move(fn));
     };
   }
-  LatencyHistogram& latency_lane(ProcessId p, ScenarioRunResult&) override {
+  LatencyHistogram& latency_lane(ProcessId p, RunResult&) override {
     if (lanes_.empty()) lanes_.resize(sim_.shard_count());
     return lanes_[static_cast<std::size_t>(sim_.shard_of(p))];
   }
@@ -221,7 +221,7 @@ class ParallelRoot final : public Root {
     scenario.apply(sim_, std::move(hooks));
   }
   void run_to_quiescence(std::chrono::milliseconds) override { sim_.run(); }
-  void collect(ScenarioRunResult& result) override {
+  void collect(RunResult& result) override {
     // Histograms merge element-wise (associative and commutative), so the
     // shard order cannot matter.
     for (const LatencyHistogram& lane : lanes_) {
@@ -271,7 +271,7 @@ class SocketRoot final : public Root {
       st_.post(p, std::move(fn));
     };
   }
-  LatencyHistogram& latency_lane(ProcessId p, ScenarioRunResult&) override {
+  LatencyHistogram& latency_lane(ProcessId p, RunResult&) override {
     if (lanes_.empty()) lanes_.resize(st_.process_count());
     return lanes_[static_cast<std::size_t>(p)];
   }
@@ -286,7 +286,7 @@ class SocketRoot final : public Root {
     st_.stop();
     PARDSM_CHECK(quiet, "sockets runtime failed to quiesce — protocol stuck?");
   }
-  void collect(ScenarioRunResult& result) override {
+  void collect(RunResult& result) override {
     for (const LatencyHistogram& lane : lanes_) {
       result.op_latency.merge_from(lane);
     }
@@ -372,7 +372,7 @@ bool needs_reliable(const EngineConfig& config) {
 /// latency bucket, never dropped and never a ~0 sample.
 void collect_workload(const workload::Generator& gen,
                       const std::vector<Client>& clients,
-                      ScenarioRunResult& result) {
+                      RunResult& result) {
   for (const auto& client : clients) {
     result.ops_issued += client.issued();
     result.ops_completed += client.completed();
@@ -390,7 +390,7 @@ void collect_workload(const workload::Generator& gen,
 /// client is a hard error, but once the ARQ layer gave a channel up
 /// (OnExhausted::kDeadChannel) some scripts legitimately cannot complete
 /// — the run reports them instead of throwing.
-void finish_clients(ScenarioRunResult& result, const ReliableTransport* rel,
+void finish_clients(RunResult& result, const ReliableTransport* rel,
                     const std::vector<Client>& clients) {
   if (rel != nullptr) {
     result.dead_channels = rel->dead_channels();
@@ -405,7 +405,7 @@ void finish_clients(ScenarioRunResult& result, const ReliableTransport* rel,
       "protocol, unhealed fault or lost completion");
 }
 
-ScenarioRunResult run_on(Root& root, const EngineConfig& config) {
+RunResult run_on(Root& root, const EngineConfig& config) {
   const graph::Distribution& dist = *config.distribution;
   const bool reliable = needs_reliable(config);
   const bool batching = config.batching.window.us > 0;
@@ -448,7 +448,7 @@ ScenarioRunResult run_on(Root& root, const EngineConfig& config) {
   root.start();
 
   // Reserved up front: scheduled closures hold client addresses.
-  ScenarioRunResult result;
+  RunResult result;
   std::vector<Client> clients;
   clients.reserve(processes.size());
   for (auto& proc : processes) {
@@ -508,7 +508,7 @@ ScenarioRunResult run_on(Root& root, const EngineConfig& config) {
 
 }  // namespace
 
-ScenarioRunResult run(EngineConfig config) {
+RunResult run(EngineConfig config) {
   PARDSM_CHECK(config.distribution != nullptr, "run: distribution required");
   PARDSM_CHECK((config.scripts != nullptr) != (config.workload != nullptr),
                "run: exactly one of scripts / workload required");

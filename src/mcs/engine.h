@@ -4,9 +4,9 @@
 // the load (per-process scripts, or a generated streaming workload), the
 // transport stack (raw / ARQ / batching, in either stacking order), an
 // optional fault timeline and the runtime to execute on — and run()
-// executes it.  run_workload, run_scenario and their *_parallel twins
-// (driver.h) are thin wrappers that fill in a config; benches and tests
-// that sweep transport parameters use run() directly.
+// executes it.  It is the only way to start a scripted or generated run:
+// every bench, test and example passes a designated-initializer config,
+// e.g. run({.protocol = k, .distribution = &dist, .scripts = &scripts}).
 //
 // run() has one body for every root: it assembles the transport stack,
 // the recorder, the processes, one Client per process, the scenario hooks
@@ -161,7 +161,8 @@ struct ReplicaEntry {
   friend bool operator==(const ReplicaEntry&, const ReplicaEntry&) = default;
 };
 
-/// Result of a full system run.
+/// Result of a full system run: the recorded history and traffic ledger,
+/// plus the fault and transport-stack ledgers.
 struct RunResult {
   hist::History history;
   ProcessTraffic total_traffic;
@@ -190,11 +191,6 @@ struct RunResult {
   std::uint64_t ops_issued = 0;
   std::uint64_t ops_completed = 0;
   std::uint64_t ops_censored = 0;
-};
-
-/// run() / run_scenario result: the ordinary run outcome plus the fault
-/// and transport-stack ledgers.
-struct ScenarioRunResult : RunResult {
   /// True when the run was routed through ReliableTransport (any faulty
   /// scenario); false for fault-free timelines on the raw simulator.
   bool used_reliable_transport = false;
@@ -225,20 +221,18 @@ struct ScenarioRunResult : RunResult {
   SocketCounters socket_counters;
 };
 
-/// The engine's ARQ default: effectively never gives up — scenario
-/// liveness comes from healing timelines, not retransmit caps.  Shared by
-/// EngineConfig and driver.h's RunOptions so the wrappers and direct
-/// engine runs cannot drift apart.
-inline constexpr ReliableOptions kEngineReliableDefaults{millis(40),
-                                                         1'000'000};
+/// The result's former name, still spelled by the repository benchmark.
+using ScenarioRunResult = RunResult;
 
 /// When the run must be routed through the ARQ layer.
 enum class ReliabilityMode : std::uint8_t {
   /// ReliableTransport iff the scenario is faulty or the channel can drop
-  /// or duplicate — what run_scenario always did.
+  /// or duplicate.  The default.
   kAuto,
-  /// Raw channel even when lossy (fault-injection tests exercise protocol
-  /// *safety* on an unrepaired channel) — what run_workload always did.
+  /// Raw channel even when lossy: fault-injection tests exercise protocol
+  /// *safety* on an unrepaired channel, where lost completions are
+  /// expected behaviour.  A run with lossy ChannelOptions must set this
+  /// to stay raw, since kAuto would insert ARQ.
   kNever,
   /// Always wrap, pricing ARQ framing into a lossless run.
   kAlways,
@@ -283,7 +277,8 @@ struct ParallelOptions {
 };
 
 /// Everything one system run needs.  Pointer members are borrowed and
-/// must outlive run().
+/// must outlive run().  Every member has a default initializer, so a
+/// designated initializer names only what it sets (in declaration order).
 struct EngineConfig {
   ProtocolKind protocol = ProtocolKind::kPramPartial;
   const graph::Distribution* distribution = nullptr;  ///< required
@@ -302,18 +297,19 @@ struct EngineConfig {
 
   // -- simulator ------------------------------------------------------------
   std::uint64_t sim_seed = 1;
-  ChannelOptions channel;
-  std::unique_ptr<LatencyModel> latency;  ///< null = constant 1ms
+  ChannelOptions channel{};
+  std::unique_ptr<LatencyModel> latency{};  ///< null = constant 1ms
 
   // -- parallel simulator ---------------------------------------------------
-  ParallelOptions parallel;
+  ParallelOptions parallel{};
 
   // -- transport stack ------------------------------------------------------
   ReliabilityMode reliability = ReliabilityMode::kAuto;
-  /// ARQ configuration (see kEngineReliableDefaults).
-  ReliableOptions reliable = kEngineReliableDefaults;
+  /// ARQ configuration.  The default effectively never gives up: scenario
+  /// liveness comes from healing timelines, not retransmit caps.
+  ReliableOptions reliable{millis(40), 1'000'000};
   /// Batching window 0 = no batching layer at all.
-  BatchingOptions batching;
+  BatchingOptions batching{};
   BatchPlacement batch_placement = BatchPlacement::kAboveReliable;
 
   // -- sockets runtime ------------------------------------------------------
@@ -322,7 +318,7 @@ struct EngineConfig {
   /// Socket-root knobs (heartbeats, backoff, chaos injection).  The engine
   /// always runs the all-local loopback shape: total_processes and
   /// local_ids are derived from the distribution and must be left alone.
-  SocketOptions sockets;
+  SocketOptions sockets{};
 };
 
 /// Execute the configured run.  Deterministic per config on the simulator
@@ -330,6 +326,6 @@ struct EngineConfig {
 /// sockets root still replays fault timelines and runs the full transport
 /// stack — chaos and backoff draws are seeded, only the wall-clock
 /// interleaving varies; see docs/DEPLOYMENT.md).
-[[nodiscard]] ScenarioRunResult run(EngineConfig config);
+[[nodiscard]] RunResult run(EngineConfig config);
 
 }  // namespace pardsm::mcs

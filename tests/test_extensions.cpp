@@ -21,10 +21,12 @@ RunResult run(ProtocolKind kind, const graph::Distribution& dist,
   spec.read_fraction = 0.5;
   spec.seed = seed;
   const auto scripts = make_random_scripts(dist, spec);
-  RunOptions options;
-  options.sim_seed = seed;
-  options.latency = std::make_unique<UniformLatency>(millis(1), millis(12));
-  return run_workload(kind, dist, scripts, std::move(options));
+  return mcs::run(
+      {.protocol = kind,
+       .distribution = &dist,
+       .scripts = &scripts,
+       .sim_seed = seed,
+       .latency = std::make_unique<UniformLatency>(millis(1), millis(12))});
 }
 
 TEST(CacheChecker, DivergentWriteOrdersViolateCache) {
@@ -125,10 +127,11 @@ TEST(Extensions, ProcessorStrictlyStrongerThanPramDeterministic) {
 
   // PRAM: apply-on-arrival → p2 sees 1 then 2; p3 sees 2 then 1.
   {
-    RunOptions options;
-    options.latency = std::make_unique<MatrixLatency>(latency_matrix());
-    const auto result = run_workload(ProtocolKind::kPramPartial, dist,
-                                     scripts, std::move(options));
+    const auto result = mcs::run(
+        {.protocol = ProtocolKind::kPramPartial,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .latency = std::make_unique<MatrixLatency>(latency_matrix())});
     EXPECT_TRUE(
         hist::check_history(result.history, Criterion::kPram).consistent);
     EXPECT_FALSE(
@@ -137,10 +140,11 @@ TEST(Extensions, ProcessorStrictlyStrongerThanPramDeterministic) {
   }
   // Processor consistency: home sequencing forbids the divergence.
   {
-    RunOptions options;
-    options.latency = std::make_unique<MatrixLatency>(latency_matrix());
-    const auto result = run_workload(ProtocolKind::kProcessorPartial, dist,
-                                     scripts, std::move(options));
+    const auto result = mcs::run(
+        {.protocol = ProtocolKind::kProcessorPartial,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .latency = std::make_unique<MatrixLatency>(latency_matrix())});
     EXPECT_TRUE(
         hist::check_history(result.history, Criterion::kPram).consistent);
     EXPECT_TRUE(

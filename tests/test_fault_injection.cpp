@@ -24,12 +24,19 @@ RunResult run_faulty(ProtocolKind kind, double dup, double drop,
   spec.read_fraction = 0.5;
   spec.seed = seed;
   const auto scripts = make_random_scripts(dist, spec);
-  RunOptions options;
-  options.sim_seed = seed;
-  options.channel.duplicate_probability = dup;
-  options.channel.drop_probability = drop;
-  options.latency = std::make_unique<UniformLatency>(millis(1), millis(15));
-  return run_workload(kind, dist, scripts, std::move(options));
+  // Deliberately raw: kNever keeps ARQ out even though the channel drops
+  // or duplicates, so these tests exercise protocol *safety* on an
+  // unrepaired channel.
+  auto r = mcs::run(
+      {.protocol = kind,
+       .distribution = &dist,
+       .scripts = &scripts,
+       .sim_seed = seed,
+       .channel = {.drop_probability = drop, .duplicate_probability = dup},
+       .latency = std::make_unique<UniformLatency>(millis(1), millis(15)),
+       .reliability = ReliabilityMode::kNever});
+  EXPECT_FALSE(r.used_reliable_transport);
+  return r;
 }
 
 class DuplicateTolerance : public ::testing::TestWithParam<ProtocolKind> {};

@@ -270,19 +270,21 @@ TEST(SteadyStateAllocations, DeliverPathIsAllocationFree) {
   const auto scripts = mcs::make_random_scripts(dist, spec);
 
   // Warm run: grows pools, interner, history vectors, etc.
-  const auto warm = mcs::run_workload(mcs::ProtocolKind::kPramPartial, dist,
-                                      scripts, {});
+  const auto warm = mcs::run({.protocol = mcs::ProtocolKind::kPramPartial,
+                              .distribution = &dist,
+                              .scripts = &scripts});
   const std::uint64_t messages = warm.total_traffic.msgs_sent;
   const std::uint64_t writes = 12 * 20;
   ASSERT_EQ(messages, writes * 11);  // every write updates 11 replicas
 
   // Counted run: identical workload, fresh system (pools start cold again
-  // inside run_workload, so the budget must cover pool growth too — what
+  // inside mcs::run, so the budget must cover pool growth too — what
   // it must NOT cover is an allocation per delivered message).
   g_alloc_count.store(0);
   g_count_allocs.store(true);
-  const auto counted = mcs::run_workload(mcs::ProtocolKind::kPramPartial,
-                                         dist, scripts, {});
+  const auto counted = mcs::run({.protocol = mcs::ProtocolKind::kPramPartial,
+                                 .distribution = &dist,
+                                 .scripts = &scripts});
   g_count_allocs.store(false);
   ASSERT_EQ(counted.total_traffic.msgs_sent, messages);
 
@@ -300,9 +302,9 @@ TEST(SteadyStateAllocations, DeliverPathIsAllocationFree) {
 // The pooled-body plane's hard gate, per protocol: once every pool,
 // freelist and container is warm, a full operation lifecycle — issue,
 // body creation, fanout, delivery, apply, completion — performs ZERO heap
-// allocations on the simulator root.  Unlike the budgeted run_workload
+// allocations on the simulator root.  Unlike the budgeted mcs::run
 // gate above, this drives processes directly inside ONE system so the
-// measured rounds really are steady state (run_workload rebuilds the
+// measured rounds really are steady state (mcs::run rebuilds the
 // system, whose cold pools would dominate the count).
 TEST(SteadyStateAllocations, EveryProtocolSteadyStateOpIsAllocationFree) {
   for (const mcs::ProtocolKind kind : mcs::all_protocols()) {

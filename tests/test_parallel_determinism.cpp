@@ -44,12 +44,6 @@ std::string ledger(const RunResult& r) {
   }
   out << r.events << ' ' << r.finished_at.us << ' '
       << r.active_channel_pairs << ' ' << r.channel_state_bytes << '\n';
-  return out.str();
-}
-
-std::string ledger(const ScenarioRunResult& r) {
-  std::ostringstream out;
-  out << ledger(static_cast<const RunResult&>(r));
   out << r.used_reliable_transport << ' ' << r.retransmissions << '\n';
   out << r.drops.loss << ' ' << r.drops.severed << ' ' << r.drops.down
       << ' ' << r.drops.in_flight << '\n';
@@ -74,11 +68,14 @@ TEST_P(ParallelDeterminism, FiveLosslessRunsAreByteIdentical) {
 
   std::string first;
   for (int i = 0; i < kRuns; ++i) {
-    RunOptions options;
-    options.sim_seed = 7;
-    options.latency = std::make_unique<UniformLatency>(millis(1), millis(4));
-    const std::string got =
-        ledger(run_workload_parallel(kind, dist, scripts, 4, std::move(options)));
+    const std::string got = ledger(run(
+        {.protocol = kind,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .runtime = EngineRuntime::kParallelSim,
+         .sim_seed = 7,
+         .latency = std::make_unique<UniformLatency>(millis(1), millis(4)),
+         .parallel = {.num_threads = 4}}));
     if (i == 0) {
       first = got;
       EXPECT_FALSE(first.empty());
@@ -105,10 +102,13 @@ TEST_P(ParallelDeterminism, FiveLossyScenarioRunsAreByteIdentical) {
   std::string first;
   std::uint64_t dropped = 0;
   for (int i = 0; i < kRuns; ++i) {
-    RunOptions options;
-    options.sim_seed = 13;
-    const ScenarioRunResult r = run_scenario_parallel(
-        kind, dist, scripts, scenario, 4, std::move(options));
+    const RunResult r = run({.protocol = kind,
+                             .distribution = &dist,
+                             .scripts = &scripts,
+                             .scenario = &scenario,
+                             .runtime = EngineRuntime::kParallelSim,
+                             .sim_seed = 13,
+                             .parallel = {.num_threads = 4}});
     const std::string got = ledger(r);
     if (i == 0) {
       first = got;

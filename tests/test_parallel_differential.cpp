@@ -107,22 +107,25 @@ TEST_P(ParallelDifferential, AgreesWithSequentialAtEveryThreadCount) {
   spec.think_time = millis(1);
   const auto scripts = make_single_writer_scripts(dist, spec);
 
-  const auto options = [&] {
-    RunOptions o;
-    o.sim_seed = static_cast<std::uint64_t>(seed);
-    o.latency = std::make_unique<UniformLatency>(millis(1), millis(5));
-    return o;
+  const auto run_on = [&](EngineRuntime runtime, unsigned threads) {
+    return run({.protocol = kind,
+                .distribution = &dist,
+                .scripts = &scripts,
+                .runtime = runtime,
+                .sim_seed = static_cast<std::uint64_t>(seed),
+                .latency =
+                    std::make_unique<UniformLatency>(millis(1), millis(5)),
+                .parallel = {.num_threads = threads}});
   };
 
-  const RunResult baseline = run_workload(kind, dist, scripts, options());
+  const RunResult baseline = run_on(EngineRuntime::kSimulator, 1);
 
   std::optional<RunResult> one_thread;
   for (const unsigned threads : kThreadCounts) {
     SCOPED_TRACE(std::string(to_string(kind)) + " on " + topo_name(topo) +
                  " seed " + std::to_string(seed) + " threads " +
                  std::to_string(threads));
-    const RunResult par =
-        run_workload_parallel(kind, dist, scripts, threads, options());
+    const RunResult par = run_on(EngineRuntime::kParallelSim, threads);
 
     // -- sequential agreement: final replica state, value and provenance.
     ASSERT_EQ(par.final_replicas.size(), baseline.final_replicas.size());

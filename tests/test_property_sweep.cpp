@@ -132,10 +132,12 @@ TEST_P(PropertySweep, InvariantsHold) {
   const auto scripts = make_random_scripts(dist, spec);
 
   const auto run = [&] {
-    RunOptions options;
-    options.sim_seed = static_cast<std::uint64_t>(seed);
-    options.latency = std::make_unique<UniformLatency>(millis(1), millis(9));
-    return run_workload(kind, dist, scripts, std::move(options));
+    return mcs::run(
+        {.protocol = kind,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .sim_seed = static_cast<std::uint64_t>(seed),
+         .latency = std::make_unique<UniformLatency>(millis(1), millis(9))});
   };
   const auto result = run();
 
@@ -227,13 +229,15 @@ TEST_P(FaultySweep, InvariantsHoldUnderFaults) {
   spec.think_time = millis(1);  // ops overlap the fault windows
   const auto scripts = make_random_scripts(dist, spec);
 
-  const auto run = [&, kind = kind, fault = fault, seed = seed] {
-    RunOptions options;
-    options.sim_seed = static_cast<std::uint64_t>(seed);
-    options.latency = std::make_unique<UniformLatency>(millis(1), millis(4));
-    return run_scenario(kind, dist, scripts,
-                        golden::make_fault_scenario(fault, 0.05),
-                        std::move(options));
+  const Scenario scenario = golden::make_fault_scenario(fault, 0.05);
+  const auto run = [&, kind = kind, seed = seed] {
+    return mcs::run(
+        {.protocol = kind,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .scenario = &scenario,
+         .sim_seed = static_cast<std::uint64_t>(seed),
+         .latency = std::make_unique<UniformLatency>(millis(1), millis(4))});
   };
   const auto result = run();
   EXPECT_TRUE(result.used_reliable_transport);

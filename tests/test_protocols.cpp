@@ -83,10 +83,12 @@ TEST_P(ProtocolConsistency, RandomWorkloadSatisfiesCriterion) {
     spec.seed = static_cast<std::uint64_t>(seed) * 977 + 13;
     const auto scripts = make_random_scripts(dist, spec);
 
-    RunOptions options;
-    options.sim_seed = static_cast<std::uint64_t>(seed);
-    options.latency = std::make_unique<UniformLatency>(millis(1), millis(20));
-    const auto result = run_workload(kind, dist, scripts, std::move(options));
+    const auto result = run(
+        {.protocol = kind,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .sim_seed = static_cast<std::uint64_t>(seed),
+         .latency = std::make_unique<UniformLatency>(millis(1), millis(20))});
 
     expect_history_ok(result.history, kind,
                       std::string(to_string(kind)) + " on " + dist.name +
@@ -123,11 +125,13 @@ TEST_P(CausalNonFifo, SurvivesReorderingNetwork) {
   spec.seed = 77;
   const auto scripts = make_random_scripts(dist, spec);
 
-  RunOptions options;
-  options.sim_seed = 9;
-  options.channel.fifo = false;
-  options.latency = std::make_unique<UniformLatency>(millis(1), millis(50));
-  const auto result = run_workload(kind, dist, scripts, std::move(options));
+  const auto result = run(
+      {.protocol = kind,
+       .distribution = &dist,
+       .scripts = &scripts,
+       .sim_seed = 9,
+       .channel = {.fifo = false},
+       .latency = std::make_unique<UniformLatency>(millis(1), millis(50))});
   expect_history_ok(result.history, kind, "non-fifo");
 }
 
@@ -148,11 +152,12 @@ TEST(AtomicHome, HistoriesAreLinearizable) {
     spec.seed = seed;
     const auto scripts = make_random_scripts(dist, spec);
 
-    RunOptions options;
-    options.sim_seed = seed;
-    options.latency = std::make_unique<UniformLatency>(millis(1), millis(9));
-    const auto result = run_workload(ProtocolKind::kAtomicHome, dist, scripts,
-                                     std::move(options));
+    const auto result = run(
+        {.protocol = ProtocolKind::kAtomicHome,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .sim_seed = seed,
+         .latency = std::make_unique<UniformLatency>(millis(1), millis(9))});
     const auto lin = hist::check_linearizable(result.history);
     EXPECT_TRUE(lin.definitive);
     EXPECT_TRUE(lin.linearizable) << result.history.to_string();
@@ -167,15 +172,16 @@ TEST(Driver, SimulatorRunsAreDeterministic) {
   spec.seed = 3;
   const auto scripts = make_random_scripts(dist, spec);
 
-  const auto run = [&] {
-    RunOptions options;
-    options.sim_seed = 42;
-    options.latency = std::make_unique<UniformLatency>(millis(1), millis(30));
-    return run_workload(ProtocolKind::kCausalPartialNaive, dist, scripts,
-                        std::move(options));
+  const auto once = [&] {
+    return run(
+        {.protocol = ProtocolKind::kCausalPartialNaive,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .sim_seed = 42,
+         .latency = std::make_unique<UniformLatency>(millis(1), millis(30))});
   };
-  const auto a = run();
-  const auto b = run();
+  const auto a = once();
+  const auto b = once();
   EXPECT_EQ(a.history.to_string(), b.history.to_string());
   EXPECT_EQ(a.total_traffic.msgs_sent, b.total_traffic.msgs_sent);
   EXPECT_EQ(a.total_traffic.control_bytes_sent,
@@ -192,8 +198,9 @@ TEST(Driver, ReadProvenanceResolves) {
   spec.ops_per_process = 10;
   spec.seed = 21;
   const auto scripts = make_random_scripts(dist, spec);
-  const auto result =
-      run_workload(ProtocolKind::kPramPartial, dist, scripts, {});
+  const auto result = run({.protocol = ProtocolKind::kPramPartial,
+                           .distribution = &dist,
+                           .scripts = &scripts});
   EXPECT_TRUE(result.history.read_from_resolvable());
 }
 

@@ -83,17 +83,15 @@ workload::Spec checked_spec(std::uint64_t seed) {
   return spec;
 }
 
-mcs::ScenarioRunResult checked_run(mcs::ProtocolKind kind,
-                                   const graph::Distribution& dist,
-                                   const Scenario& faults,
-                                   const workload::Spec& spec) {
-  mcs::EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.workload = &spec;
-  config.scenario = &faults;
-  config.sim_seed = spec.seed;
-  return mcs::run(std::move(config));
+mcs::RunResult checked_run(mcs::ProtocolKind kind,
+                           const graph::Distribution& dist,
+                           const Scenario& faults,
+                           const workload::Spec& spec) {
+  return mcs::run({.protocol = kind,
+                   .distribution = &dist,
+                   .workload = &spec,
+                   .scenario = &faults,
+                   .sim_seed = spec.seed});
 }
 
 /// Heap allocations made by one checked run (teardown included).
@@ -197,8 +195,8 @@ TEST(RelevanceMemo, EqualShapeDifferentContentsMatchDirectAnalysis) {
 }
 
 /// Every observable of a run that must not depend on who else runs.
-void expect_same_run(const mcs::ScenarioRunResult& a,
-                     const mcs::ScenarioRunResult& b) {
+void expect_same_run(const mcs::RunResult& a,
+                     const mcs::RunResult& b) {
   ASSERT_EQ(a.history.size(), b.history.size());
   for (std::size_t i = 0; i < a.history.size(); ++i) {
     const auto op = static_cast<hist::OpIndex>(i);
@@ -224,7 +222,7 @@ TEST(RelevanceMemo, ConcurrentRunsMatchSequential) {
   const auto kind = mcs::ProtocolKind::kCausalPartialAdHoc;
 
   constexpr int kThreads = 4;
-  std::vector<mcs::ScenarioRunResult> results(kThreads);
+  std::vector<mcs::RunResult> results(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {

@@ -121,7 +121,8 @@ TEST_P(ScaleSmoke, FiveHundredTwelveProcessesConserveInvariants) {
     spec.read_fraction = 0.5;
     spec.seed = 1234;
     const auto scripts = mcs::make_random_scripts(dist, spec);
-    const auto r = mcs::run_workload(kind, dist, scripts, {});
+    const auto r = mcs::run(
+        {.protocol = kind, .distribution = &dist, .scripts = &scripts});
 
     // Conservation: a lossless run delivers every sent message, and the
     // recorded history holds exactly the scripted operations.

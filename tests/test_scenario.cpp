@@ -1,5 +1,5 @@
 // Scenario engine: fault-RNG stream isolation, per-pair loss tables,
-// partition group expansion, crash windows, and the run_scenario driver.
+// partition group expansion, crash windows, and scenario runs of mcs::run.
 
 #include <gtest/gtest.h>
 
@@ -62,22 +62,19 @@ TEST(ScenarioRng, ZeroLossArmedIsIdenticalToFaultsDisabled) {
   spec.seed = 9;
   const auto scripts = mcs::make_random_scripts(dist, spec);
 
-  const auto plain = [&] {
-    mcs::RunOptions o;
-    o.sim_seed = 5;
-    o.latency = jittery();
-    return mcs::run_workload(mcs::ProtocolKind::kPramPartial, dist, scripts,
-                             std::move(o));
-  }();
-  const auto armed = [&] {
-    mcs::RunOptions o;
-    o.sim_seed = 5;
-    o.latency = jittery();
-    Scenario s("zero-loss");
-    s.set_loss(0.0);  // arms the per-pair tables without any loss
-    return mcs::run_scenario(mcs::ProtocolKind::kPramPartial, dist, scripts,
-                             s, std::move(o));
-  }();
+  const auto plain = mcs::run({.protocol = mcs::ProtocolKind::kPramPartial,
+                               .distribution = &dist,
+                               .scripts = &scripts,
+                               .sim_seed = 5,
+                               .latency = jittery()});
+  Scenario s("zero-loss");
+  s.set_loss(0.0);  // arms the per-pair tables without any loss
+  const auto armed = mcs::run({.protocol = mcs::ProtocolKind::kPramPartial,
+                               .distribution = &dist,
+                               .scripts = &scripts,
+                               .scenario = &s,
+                               .sim_seed = 5,
+                               .latency = jittery()});
 
   EXPECT_FALSE(armed.used_reliable_transport);
   EXPECT_EQ(plain.history.to_string(), armed.history.to_string());
@@ -330,7 +327,7 @@ TEST(Scenario, CrashDropsInFlightAndBlocksTrafficUntilRecovery) {
   EXPECT_EQ(sim.network().drop_counters().down, 1u);
 }
 
-// ------------------------------------------------------- run_scenario
+// ------------------------------------------------------ scenario runs
 
 Scenario kitchen_sink() {
   Scenario s("loss+partition+crash");
@@ -348,11 +345,13 @@ TEST(RunScenario, PramLiveConsistentAndDeterministicUnderKitchenSink) {
   spec.think_time = millis(1);  // spread ops across the fault windows
   const auto scripts = mcs::make_random_scripts(dist, spec);
 
+  const Scenario scenario = kitchen_sink();
   const auto run = [&] {
-    mcs::RunOptions o;
-    o.sim_seed = 17;
-    return mcs::run_scenario(mcs::ProtocolKind::kPramPartial, dist, scripts,
-                             kitchen_sink(), std::move(o));
+    return mcs::run({.protocol = mcs::ProtocolKind::kPramPartial,
+                     .distribution = &dist,
+                     .scripts = &scripts,
+                     .scenario = &scenario,
+                     .sim_seed = 17});
   };
   const auto r = run();
 
@@ -386,10 +385,11 @@ TEST(RunScenario, ResyncBytesAreChargedToNetworkStats) {
 
   Scenario s("crash-only");
   s.crash(2, after(millis(1)), after(millis(3)));
-  mcs::RunOptions o;
-  o.sim_seed = 4;
-  const auto r = mcs::run_scenario(mcs::ProtocolKind::kPramPartial, dist,
-                                   scripts, s, std::move(o));
+  const auto r = mcs::run({.protocol = mcs::ProtocolKind::kPramPartial,
+                           .distribution = &dist,
+                           .scripts = &scripts,
+                           .scenario = &s,
+                           .sim_seed = 4});
   EXPECT_EQ(r.crashes, 1u);
   EXPECT_GT(r.resync_bytes, 0u);
   // The total ledger contains at least the re-sync bytes the victim
@@ -405,11 +405,13 @@ TEST(RunScenario, EveryProtocolSurvivesTheKitchenSink) {
   spec.seed = 5;
   spec.think_time = millis(1);
   const auto scripts = mcs::make_random_scripts(dist, spec);
+  const Scenario scenario = kitchen_sink();
   for (auto kind : mcs::all_protocols()) {
-    mcs::RunOptions o;
-    o.sim_seed = 23;
-    const auto r =
-        mcs::run_scenario(kind, dist, scripts, kitchen_sink(), std::move(o));
+    const auto r = mcs::run({.protocol = kind,
+                             .distribution = &dist,
+                             .scripts = &scripts,
+                             .scenario = &scenario,
+                             .sim_seed = 23});
     EXPECT_TRUE(r.used_reliable_transport) << mcs::to_string(kind);
     EXPECT_EQ(r.crashes, 1u) << mcs::to_string(kind);
   }

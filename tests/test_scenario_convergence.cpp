@@ -46,15 +46,17 @@ TEST_P(Convergence, FaultyRunEndsInLosslessReplicaState) {
   spec.think_time = millis(1);  // ops overlap the fault windows
   const auto scripts = make_single_writer_scripts(dist, spec);
 
-  RunOptions baseline_options;
-  baseline_options.sim_seed = static_cast<std::uint64_t>(seed);
-  const auto baseline =
-      run_workload(kind, dist, scripts, std::move(baseline_options));
+  const auto baseline = run({.protocol = kind,
+                             .distribution = &dist,
+                             .scripts = &scripts,
+                             .sim_seed = static_cast<std::uint64_t>(seed)});
 
-  RunOptions options;
-  options.sim_seed = static_cast<std::uint64_t>(seed);
-  const auto faulty = run_scenario(kind, dist, scripts, make_scenario(family),
-                                   std::move(options));
+  const Scenario scenario = make_scenario(family);
+  const auto faulty = run({.protocol = kind,
+                           .distribution = &dist,
+                           .scripts = &scripts,
+                           .scenario = &scenario,
+                           .sim_seed = static_cast<std::uint64_t>(seed)});
 
   EXPECT_TRUE(faulty.used_reliable_transport);
   ASSERT_EQ(faulty.final_replicas.size(), baseline.final_replicas.size());

@@ -63,22 +63,16 @@ Workload make_workload(std::size_t n, std::size_t ops, std::uint64_t seed) {
   return w;
 }
 
-mcs::ScenarioRunResult reference_run(mcs::ProtocolKind kind,
-                                     const Workload& w) {
-  mcs::EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &w.dist;
-  config.scripts = &w.scripts;
-  return mcs::run(std::move(config));
+mcs::RunResult reference_run(mcs::ProtocolKind kind, const Workload& w) {
+  return mcs::run(
+      {.protocol = kind, .distribution = &w.dist, .scripts = &w.scripts});
 }
 
 mcs::EngineConfig socket_config(mcs::ProtocolKind kind, const Workload& w) {
-  mcs::EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &w.dist;
-  config.scripts = &w.scripts;
-  config.runtime = mcs::EngineRuntime::kSockets;
-  return config;
+  return {.protocol = kind,
+          .distribution = &w.dist,
+          .scripts = &w.scripts,
+          .runtime = mcs::EngineRuntime::kSockets};
 }
 
 // ---------------------------------------------------------------------------
@@ -159,16 +153,14 @@ TEST(Sockets, TransportStacksComposeAboveSocketRoot) {
 // they must hold for *every* interleaving the OS produces.
 // ---------------------------------------------------------------------------
 
-mcs::ScenarioRunResult run_on_sockets(mcs::ProtocolKind kind,
-                                      const graph::Distribution& dist,
-                                      const std::vector<mcs::Script>& scripts) {
-  mcs::EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.runtime = mcs::EngineRuntime::kSockets;
-  config.reliability = mcs::ReliabilityMode::kNever;
-  auto result = mcs::run(std::move(config));
+mcs::RunResult run_on_sockets(mcs::ProtocolKind kind,
+                              const graph::Distribution& dist,
+                              const std::vector<mcs::Script>& scripts) {
+  auto result = mcs::run({.protocol = kind,
+                          .distribution = &dist,
+                          .scripts = &scripts,
+                          .runtime = mcs::EngineRuntime::kSockets,
+                          .reliability = mcs::ReliabilityMode::kNever});
   // The history holds completed ops only: a scripted op whose completion
   // never came would vanish from it and leave every check vacuous there.
   EXPECT_EQ(result.unfinished_clients, 0u);

@@ -39,11 +39,13 @@ std::vector<Script> exhaustive_scripts(const Distribution& dist) {
 }
 
 RunResult run(ProtocolKind kind, const Distribution& dist) {
-  RunOptions options;
-  options.sim_seed = 7;
-  options.latency = std::make_unique<UniformLatency>(millis(1), millis(10));
-  return run_workload(kind, dist, exhaustive_scripts(dist),
-                      std::move(options));
+  const auto scripts = exhaustive_scripts(dist);
+  return mcs::run(
+      {.protocol = kind,
+       .distribution = &dist,
+       .scripts = &scripts,
+       .sim_seed = 7,
+       .latency = std::make_unique<UniformLatency>(millis(1), millis(10))});
 }
 
 std::vector<Distribution> corpus() {

@@ -372,33 +372,35 @@ TEST(TransportConformance, Window0BatchingLayerIsBitIdentical) {
   }
 }
 
-// The wrappers and the engine are the same code path: run_workload must
-// produce exactly what an equivalent EngineConfig produces.
-TEST(TransportConformance, RunWorkloadEqualsEngineRun) {
+// kAuto, the default, only inserts ARQ when something can lose messages:
+// a lossless run without a scenario must be exactly the raw-channel
+// (kNever) run, so scripted runs need not name a reliability mode.
+TEST(TransportConformance, LosslessAutoReliabilityEqualsRawRun) {
   const auto dist = graph::topo::ring(6);
   mcs::WorkloadSpec spec;
   spec.ops_per_process = 8;
   spec.seed = 42;
   const auto scripts = mcs::make_random_scripts(dist, spec);
 
-  const auto via_wrapper =
-      mcs::run_workload(mcs::ProtocolKind::kCausalPartialAdHoc, dist, scripts);
+  const auto via_auto =
+      mcs::run({.protocol = mcs::ProtocolKind::kCausalPartialAdHoc,
+                .distribution = &dist,
+                .scripts = &scripts});
+  const auto via_raw =
+      mcs::run({.protocol = mcs::ProtocolKind::kCausalPartialAdHoc,
+                .distribution = &dist,
+                .scripts = &scripts,
+                .reliability = mcs::ReliabilityMode::kNever});
 
-  mcs::EngineConfig config;
-  config.protocol = mcs::ProtocolKind::kCausalPartialAdHoc;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.reliability = mcs::ReliabilityMode::kNever;
-  const auto via_engine = mcs::run(std::move(config));
-
-  EXPECT_EQ(via_wrapper.total_traffic.msgs_sent,
-            via_engine.total_traffic.msgs_sent);
-  EXPECT_EQ(via_wrapper.total_traffic.wire_bytes_sent(),
-            via_engine.total_traffic.wire_bytes_sent());
-  EXPECT_EQ(via_wrapper.events, via_engine.events);
-  EXPECT_EQ(via_wrapper.finished_at.us, via_engine.finished_at.us);
-  EXPECT_EQ(via_wrapper.history.to_string(), via_engine.history.to_string());
-  EXPECT_EQ(via_wrapper.final_replicas, via_engine.final_replicas);
+  EXPECT_FALSE(via_auto.used_reliable_transport);
+  EXPECT_EQ(via_auto.total_traffic.msgs_sent,
+            via_raw.total_traffic.msgs_sent);
+  EXPECT_EQ(via_auto.total_traffic.wire_bytes_sent(),
+            via_raw.total_traffic.wire_bytes_sent());
+  EXPECT_EQ(via_auto.events, via_raw.events);
+  EXPECT_EQ(via_auto.finished_at.us, via_raw.finished_at.us);
+  EXPECT_EQ(via_auto.history.to_string(), via_raw.history.to_string());
+  EXPECT_EQ(via_auto.final_replicas, via_raw.final_replicas);
 }
 
 // ---------------------------------------------------------------------------

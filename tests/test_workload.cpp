@@ -317,20 +317,16 @@ TEST(WrapGuards, ArrivalOffsetIsMonotoneAndGuarded) {
 
 // ------------------------------------------------------- engine surface
 
-mcs::ScenarioRunResult run_workload_on(mcs::EngineRuntime runtime,
-                                       const graph::Distribution& dist,
-                                       const workload::Spec& spec,
-                                       mcs::ProtocolKind kind,
-                                       bool record_history,
-                                       unsigned threads = 2) {
-  mcs::EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.workload = &spec;
-  config.record_history = record_history;
-  config.runtime = runtime;
-  config.parallel.num_threads = threads;
-  return mcs::run(std::move(config));
+mcs::RunResult stream_on(mcs::EngineRuntime runtime,
+                         const graph::Distribution& dist,
+                         const workload::Spec& spec, mcs::ProtocolKind kind,
+                         bool record_history, unsigned threads = 2) {
+  return mcs::run({.protocol = kind,
+                   .distribution = &dist,
+                   .workload = &spec,
+                   .record_history = record_history,
+                   .runtime = runtime,
+                   .parallel = {.num_threads = threads}});
 }
 
 TEST(WorkloadEngine, RequiresExactlyOneLoad) {
@@ -359,9 +355,9 @@ TEST(WorkloadEngine, RunsOnAllThreeRuntimes) {
   for (const auto runtime :
        {mcs::EngineRuntime::kSimulator, mcs::EngineRuntime::kParallelSim,
         mcs::EngineRuntime::kSockets}) {
-    const auto r = run_workload_on(runtime, dist, spec,
-                                   mcs::ProtocolKind::kPramPartial,
-                                   /*record_history=*/true);
+    const auto r = stream_on(runtime, dist, spec,
+                             mcs::ProtocolKind::kPramPartial,
+                             /*record_history=*/true);
     EXPECT_EQ(r.ops_issued, target);
     EXPECT_EQ(r.ops_completed, target);
     EXPECT_EQ(r.ops_censored, 0u);
@@ -380,7 +376,7 @@ TEST(WorkloadEngine, OpenLoopCompletesAndChargesQueueing) {
   spec.seed = 3;
 
   // Closed loop first: atomic-home RPC latency is ~2 ms per op.
-  const auto closed = run_workload_on(
+  const auto closed = stream_on(
       mcs::EngineRuntime::kSimulator, dist, spec,
       mcs::ProtocolKind::kAtomicHome, /*record_history=*/false);
   EXPECT_EQ(closed.ops_completed, spec.ops_per_process * 6);
@@ -390,7 +386,7 @@ TEST(WorkloadEngine, OpenLoopCompletesAndChargesQueueing) {
   // the ops — the tail must stretch far past the closed-loop service
   // latency instead of being omitted.
   spec.arrival_rate = 2000.0;
-  const auto open = run_workload_on(
+  const auto open = stream_on(
       mcs::EngineRuntime::kSimulator, dist, spec,
       mcs::ProtocolKind::kAtomicHome, /*record_history=*/false);
   EXPECT_EQ(open.ops_completed, spec.ops_per_process * 6);
@@ -407,8 +403,8 @@ TEST(WorkloadEngine, OpenLoopCompletesAndChargesQueueing) {
       << "open-loop overload must surface queueing delay";
 
   // Open loop needs virtual time: the wall-clock runtime rejects it.
-  EXPECT_THROW((void)run_workload_on(mcs::EngineRuntime::kSockets, dist, spec,
-                                     mcs::ProtocolKind::kAtomicHome, false),
+  EXPECT_THROW((void)stream_on(mcs::EngineRuntime::kSockets, dist, spec,
+                               mcs::ProtocolKind::kAtomicHome, false),
                std::logic_error);
 }
 
@@ -423,12 +419,12 @@ TEST(WorkloadEngine, ParallelResultIndependentOfThreadCount) {
   spec.keys = workload::KeyDist::kZipf;
   spec.seed = 17;
 
-  const auto r1 = run_workload_on(mcs::EngineRuntime::kParallelSim, dist, spec,
-                                  mcs::ProtocolKind::kPramPartial, true, 1);
-  const auto r2 = run_workload_on(mcs::EngineRuntime::kParallelSim, dist, spec,
-                                  mcs::ProtocolKind::kPramPartial, true, 2);
-  const auto r4 = run_workload_on(mcs::EngineRuntime::kParallelSim, dist, spec,
-                                  mcs::ProtocolKind::kPramPartial, true, 4);
+  const auto r1 = stream_on(mcs::EngineRuntime::kParallelSim, dist, spec,
+                            mcs::ProtocolKind::kPramPartial, true, 1);
+  const auto r2 = stream_on(mcs::EngineRuntime::kParallelSim, dist, spec,
+                            mcs::ProtocolKind::kPramPartial, true, 2);
+  const auto r4 = stream_on(mcs::EngineRuntime::kParallelSim, dist, spec,
+                            mcs::ProtocolKind::kPramPartial, true, 4);
 
   EXPECT_EQ(r1.ops_completed, r2.ops_completed);
   EXPECT_EQ(r2.ops_completed, r4.ops_completed);
@@ -501,17 +497,17 @@ TEST(WorkloadEngine, PeakRssIndependentOfOpCount) {
 
   // Warm-up run: allocator pools, event queue, protocol state all reach
   // their steady-state footprint here.
-  auto small = run_workload_on(mcs::EngineRuntime::kSimulator, dist, spec,
-                               mcs::ProtocolKind::kPramPartial,
-                               /*record_history=*/false);
+  auto small = stream_on(mcs::EngineRuntime::kSimulator, dist, spec,
+                         mcs::ProtocolKind::kPramPartial,
+                         /*record_history=*/false);
   EXPECT_EQ(small.ops_completed, spec.ops_per_process * 6);
   EXPECT_EQ(small.history.size(), 0u);  // discard mode: nothing stored
   const std::uint64_t high_water_small = rss_kb();
 
   spec.ops_per_process = 60'000;
-  auto big = run_workload_on(mcs::EngineRuntime::kSimulator, dist, spec,
-                             mcs::ProtocolKind::kPramPartial,
-                             /*record_history=*/false);
+  auto big = stream_on(mcs::EngineRuntime::kSimulator, dist, spec,
+                       mcs::ProtocolKind::kPramPartial,
+                       /*record_history=*/false);
   EXPECT_EQ(big.ops_completed, spec.ops_per_process * 6);
   const std::uint64_t high_water_big = rss_kb();
 
